@@ -29,6 +29,7 @@
 
 use std::collections::BTreeMap;
 
+use jgre_sim::framed::fnv1a64;
 use serde::{Deserialize, Serialize};
 
 use crate::spec::{AospSpec, JgrBehavior, MethodSpec, Permission, Protection};
@@ -346,15 +347,6 @@ struct Builder {
     class_index: BTreeMap<String, usize>,
 }
 
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl Builder {
     fn class(&mut self, name: &str, origin: Origin) -> usize {
         if let Some(&idx) = self.class_index.get(name) {
@@ -466,7 +458,7 @@ impl Builder {
         // that branch into two paths each → 70 + 6 + 4 named = 80 paths.
         for i in 0..70u32 {
             let root = self.native(&format!("jni_entry_{i:02}"));
-            let depth = 1 + (fnv(&format!("chain{i}")) % 3) as u32;
+            let depth = 1 + (fnv1a64(format!("chain{i}").as_bytes()) % 3) as u32;
             let mut prev = root;
             for d in 0..depth {
                 let mid = self.native(&format!("native_helper_{i:02}_{d}"));
@@ -589,7 +581,7 @@ impl Builder {
         if let Some(p) = m.permission {
             self.methods[id.0 as usize].permission_checks.push(p);
         }
-        let key = fnv(&format!("{class_name}.{}", m.name));
+        let key = fnv1a64(format!("{class_name}.{}", m.name).as_bytes());
         match m.jgr {
             JgrBehavior::RetainPerCall { grefs_per_call } => {
                 let usage =
@@ -675,7 +667,7 @@ impl Builder {
                 }
             }
             // Innocuous app classes, a couple per app, for scale.
-            let h = fnv(&app.package);
+            let h = fnv1a64(app.package.as_bytes());
             for i in 0..(1 + h % 3) {
                 let class_name = format!("{}.Activity{i}", app.package);
                 let act = self.method(&class_name, "onCreate", origin.clone());

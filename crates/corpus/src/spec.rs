@@ -26,6 +26,7 @@
 
 use std::collections::BTreeSet;
 
+use jgre_sim::framed::fnv1a64;
 use serde::{Deserialize, Serialize};
 
 /// Hard cap on JNI global references per runtime (see
@@ -436,16 +437,6 @@ impl AospSpec {
 // Catalog construction
 // --------------------------------------------------------------------------
 
-/// FNV-1a, used to derive stable per-name variety without an RNG.
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Derives the cost parameters that exhaust the table in ~`target_secs` of
 /// virtual time at `grefs_per_call` references per call, with base kept
 /// under the Figure 6 envelope (≤ ~6 ms for the first 1000 calls).
@@ -454,7 +445,7 @@ fn vulnerable_cost(name_key: &str, target_secs: u64, grefs_per_call: u32) -> Cos
     let calls = (JGR_CAP as u64).div_ceil(g);
     let t_us = target_secs * 1_000_000;
     let per_call_budget = t_us / calls;
-    let h = fnv(name_key);
+    let h = fnv1a64(name_key.as_bytes());
     // Δ spread per interface: 100–3500 µs (Figure 6's envelope), mean near
     // the paper's 1.8 ms, but capped so the mean jitter fits the exhaustion
     // budget. The fastest interface gets a pinned small deviation so its
@@ -921,7 +912,7 @@ fn innocent_methods(service: &str, count: usize) -> Vec<MethodSpec> {
         } else {
             format!("{stem}{}", i / INNOCENT_STEMS.len())
         };
-        let h = fnv(&format!("{service}.{name}"));
+        let h = fnv1a64(format!("{service}.{name}").as_bytes());
         // Mostly no JGR at all; a sprinkle of the innocent JGR patterns the
         // sift rules must clear.
         let jgr = match h % 20 {
@@ -961,7 +952,8 @@ fn build_catalog() -> AospSpec {
         .filter(|(_, r)| r.target_secs.is_none())
         .map(|(i, _)| i)
         .collect();
-    unpinned.sort_by_key(|&i| fnv(&format!("{}.{}", rows[i].service, rows[i].method)));
+    unpinned
+        .sort_by_key(|&i| fnv1a64(format!("{}.{}", rows[i].service, rows[i].method).as_bytes()));
     let n = unpinned.len();
     for (rank, &idx) in unpinned.iter().enumerate() {
         let lo = 110.0_f64;
@@ -974,7 +966,7 @@ fn build_catalog() -> AospSpec {
     let mut services: Vec<ServiceSpec> = SERVICE_NAMES
         .iter()
         .map(|&(name, native)| {
-            let h = fnv(name);
+            let h = fnv1a64(name.as_bytes());
             let innocent_count = if native {
                 6 + (h % 6) as usize
             } else {

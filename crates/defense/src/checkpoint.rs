@@ -6,35 +6,35 @@
 //! replays only the journal records after it, which bounds replay work
 //! by the checkpoint interval.
 //!
-//! Layout (integers little-endian):
-//!
-//! ```text
-//! magic "JGRECKP1" | schema version u32 | payload length u32
-//! | serde_json payload | FNV-1a-64 checksum of the payload
-//! ```
+//! A checkpoint blob is a [`jgre_sim::framed`] record file with magic
+//! `JGRECKP1` holding exactly one frame, whose payload is the
+//! checkpoint's serde_json encoding.
 //!
 //! Decoding never panics: every malformed input maps to a typed
-//! [`CheckpointReject`], and the caller falls back to journal-only
+//! [`Reject`], and the caller falls back to journal-only
 //! recovery. Losing a checkpoint is survivable by design — the monitor's
 //! table-size tracking self-heals because every journaled event carries
 //! the absolute table size.
 //!
 //! [`JgrMonitor`]: crate::JgrMonitor
 
-use std::fmt;
-
+use jgre_sim::framed::{fnv1a64, push_frame, Format, Reject, Salvaged, FRAME_OVERHEAD, HEADER_LEN};
 use jgre_sim::{Pid, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::journal::checksum;
 use crate::DefenderConfig;
 
 /// Magic prefix of a checkpoint blob.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"JGRECKP1";
 /// Checkpoint schema version; bump on any layout change.
 pub const CHECKPOINT_SCHEMA_VERSION: u32 = 1;
-/// Magic + version + payload length.
-const PREFIX_LEN: usize = 8 + 4 + 4;
+
+const CHECKPOINT: Format = Format {
+    magic: CHECKPOINT_MAGIC,
+    version: CHECKPOINT_SCHEMA_VERSION,
+    // A loaded monitor snapshot runs to hundreds of kilobytes.
+    max_frame_len: 1 << 26,
+};
 
 /// Serialized form of one watch entry.
 ///
@@ -81,51 +81,19 @@ pub struct DefenderCheckpoint {
     pub last_pass: Vec<(Pid, SimTime)>,
 }
 
-/// Why a checkpoint blob was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointReject {
-    /// Shorter than the fixed prefix or the declared payload.
-    Truncated,
-    /// Magic mismatch.
-    BadMagic,
-    /// Schema version this build does not understand.
-    BadVersion(u32),
-    /// Payload checksum mismatch (bit rot, torn write).
-    BadChecksum,
-    /// Checksum passed but the payload did not deserialize (schema
-    /// drift inside one version — should not happen, still must not
-    /// panic).
-    BadPayload,
-}
-
-impl fmt::Display for CheckpointReject {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckpointReject::Truncated => write!(f, "checkpoint truncated"),
-            CheckpointReject::BadMagic => write!(f, "checkpoint magic mismatch"),
-            CheckpointReject::BadVersion(v) => write!(f, "unknown checkpoint schema version {v}"),
-            CheckpointReject::BadChecksum => write!(f, "checkpoint checksum mismatch"),
-            CheckpointReject::BadPayload => write!(f, "checkpoint payload undecodable"),
-        }
-    }
-}
-
 /// Fingerprint of a configuration (FNV over its canonical JSON), stored
 /// in the checkpoint so recovery can detect a config change.
 pub fn config_fingerprint(config: &DefenderConfig) -> u64 {
     let json = serde_json::to_vec(config).expect("DefenderConfig always serializes");
-    checksum(&json)
+    fnv1a64(&json)
 }
 
 /// Encodes a checkpoint into its framed, checksummed byte form.
 pub fn encode_checkpoint(cp: &DefenderCheckpoint) -> Vec<u8> {
     let payload = serde_json::to_vec(cp).expect("checkpoints always serialize");
-    let mut out = Vec::with_capacity(PREFIX_LEN + payload.len() + 8);
-    out.extend_from_slice(&CHECKPOINT_MAGIC);
-    out.extend_from_slice(&CHECKPOINT_SCHEMA_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&checksum(&payload).to_le_bytes());
+    let mut out = Vec::with_capacity(HEADER_LEN + FRAME_OVERHEAD + payload.len());
+    out.extend_from_slice(&CHECKPOINT.header());
+    push_frame(&mut out, |out| out.extend_from_slice(&payload));
     out
 }
 
@@ -134,37 +102,24 @@ pub fn encode_checkpoint(cp: &DefenderCheckpoint) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// A [`CheckpointReject`] naming the first problem found.
-pub fn decode_checkpoint(bytes: &[u8]) -> Result<DefenderCheckpoint, CheckpointReject> {
-    if bytes.len() < PREFIX_LEN {
-        return Err(CheckpointReject::Truncated);
-    }
-    if bytes[..8] != CHECKPOINT_MAGIC {
-        return Err(CheckpointReject::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != CHECKPOINT_SCHEMA_VERSION {
-        return Err(CheckpointReject::BadVersion(version));
-    }
-    let len = u32::from_le_bytes(bytes[12..PREFIX_LEN].try_into().expect("4 bytes")) as usize;
-    let body_end = PREFIX_LEN
-        .checked_add(len)
-        .ok_or(CheckpointReject::Truncated)?;
-    let frame_end = body_end + 8;
-    if frame_end > bytes.len() {
-        return Err(CheckpointReject::Truncated);
-    }
-    let payload = &bytes[PREFIX_LEN..body_end];
-    let stored = u64::from_le_bytes(bytes[body_end..frame_end].try_into().expect("8 bytes"));
-    if checksum(payload) != stored {
-        return Err(CheckpointReject::BadChecksum);
-    }
-    serde_json::from_slice(payload).map_err(|_| CheckpointReject::BadPayload)
+/// A [`Reject`] naming the first problem found; [`Reject::Truncated`]
+/// when the blob ends before its frame does.
+pub fn decode_checkpoint(bytes: &[u8]) -> Result<DefenderCheckpoint, Reject> {
+    let Salvaged { frames, reject, .. } = CHECKPOINT.salvage(bytes, |payload| {
+        serde_json::from_slice(payload).map_err(|_| Reject::BadPayload)
+    });
+    frames
+        .into_iter()
+        .next()
+        .ok_or(reject.unwrap_or(Reject::Truncated))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Header + payload length.
+    const PREFIX_LEN: usize = HEADER_LEN + 4;
 
     fn sample() -> DefenderCheckpoint {
         DefenderCheckpoint {
@@ -194,23 +149,26 @@ mod tests {
     #[test]
     fn every_corruption_is_a_typed_rejection() {
         let good = encode_checkpoint(&sample());
-        assert_eq!(decode_checkpoint(&[]), Err(CheckpointReject::Truncated));
+        assert_eq!(decode_checkpoint(&[]), Err(Reject::Truncated));
         assert_eq!(
             decode_checkpoint(&good[..good.len() - 3]),
-            Err(CheckpointReject::Truncated)
+            Err(Reject::Truncated)
         );
         let mut bad = good.clone();
         bad[0] = b'Z';
-        assert_eq!(decode_checkpoint(&bad), Err(CheckpointReject::BadMagic));
+        assert_eq!(decode_checkpoint(&bad), Err(Reject::BadMagic));
         let mut bad = good.clone();
         bad[8] = 99;
         assert_eq!(
             decode_checkpoint(&bad),
-            Err(CheckpointReject::BadVersion(99))
+            Err(Reject::StaleVersion { found: 99 })
         );
         let mut bad = good.clone();
         bad[PREFIX_LEN + 5] ^= 0x08;
-        assert_eq!(decode_checkpoint(&bad), Err(CheckpointReject::BadChecksum));
+        assert!(matches!(
+            decode_checkpoint(&bad),
+            Err(Reject::ChecksumMismatch { .. })
+        ));
     }
 
     #[test]

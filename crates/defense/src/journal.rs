@@ -2,34 +2,31 @@
 //!
 //! Every monitor event and defender decision is appended to a framed,
 //! checksummed log *before* the in-memory state that depends on it is
-//! considered durable. After a crash, [`Journal::reopen`] scans the log,
-//! drops any torn tail (a frame the dying process never finished
+//! considered durable. After a crash, [`Journal::reopen`] salvages the
+//! log, drops any torn tail (a frame the dying process never finished
 //! writing), and hands the surviving records to the recovery path, which
 //! replays them on top of the last checkpoint.
 //!
-//! On-disk layout (all integers little-endian):
+//! The log is a [`jgre_sim::framed`] record file with magic `JGREWAL1`:
 //!
 //! ```text
-//! header:  magic "JGREWAL1" | schema version u32 | base sequence u64
-//! frame:   payload length u32 | serde_json payload | FNV-1a-64 checksum
+//! header:  "JGREWAL1" | schema version 2
+//! frame 0: base sequence u64 LE
+//! frame k: serde_json JournalRecord, sequence base + k - 1
 //! ```
 //!
-//! The sequence number of a frame is implicit: `base + index`. Compaction
-//! (after a checkpoint) rewrites the journal to an empty log whose base
-//! is the checkpoint's sequence, so replay work stays bounded by the
-//! checkpoint interval. The same discipline as the analysis cache applies
-//! throughout: bounds-checked decoding, checksum verification per region,
-//! and atomic whole-file replacement — corrupt input degrades to a
-//! shorter log, never to a panic.
+//! Compaction (after a checkpoint) rewrites the journal to an empty log
+//! whose base is the checkpoint's sequence, so replay work stays bounded
+//! by the checkpoint interval. Corrupt input degrades to a shorter log,
+//! never to a panic.
 
 use std::cell::RefCell;
 use std::fmt;
-use std::fs;
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::io;
 use std::rc::Rc;
 
 use jgre_art::JgrEventKind;
+use jgre_sim::framed::{push_frame, Format, Reject, FRAME_OVERHEAD, HEADER_LEN};
 use jgre_sim::{Pid, SimTime, Uid};
 use serde::{Deserialize, Serialize};
 
@@ -38,23 +35,14 @@ use crate::DefenseError;
 /// Magic prefix of a journal file.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"JGREWAL1";
 /// Journal schema version; bump on any layout change.
-pub const JOURNAL_SCHEMA_VERSION: u32 = 1;
-/// Header: magic + version + base sequence.
-const HEADER_LEN: usize = 8 + 4 + 8;
-/// Sanity bound on a single frame's payload (a record is ~100 bytes).
-const MAX_FRAME_LEN: u32 = 1 << 20;
+pub const JOURNAL_SCHEMA_VERSION: u32 = 2;
 
-/// FNV-1a 64-bit checksum, the same region-checksum primitive the
-/// analysis cache uses (duplicated here: the defense crate models the
-/// on-device daemon and must not depend on host-side tooling).
-pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+const WAL: Format = Format {
+    magic: JOURNAL_MAGIC,
+    version: JOURNAL_SCHEMA_VERSION,
+    // A record is ~100 bytes.
+    max_frame_len: 1 << 20,
+};
 
 /// One durable record: everything the defender needs to rebuild its
 /// in-memory state after a crash.
@@ -122,9 +110,9 @@ impl From<DefenseError> for PersistError {
 
 /// Byte-level backing store for the journal and the checkpoint.
 ///
-/// Two implementations ship: [`MemoryStore`] (the chaos matrix and the
-/// property tests, infallible) and [`DirStore`] (real files, atomic
-/// checkpoint replacement via temp-file + rename).
+/// [`MemoryStore`] is the in-tree implementation (the chaos matrix and
+/// the property tests, infallible); the five methods are the whole
+/// contract a device-backed store would have to meet.
 pub trait StateStore: fmt::Debug {
     /// Reads the whole journal (empty if none exists yet).
     fn load_journal(&self) -> io::Result<Vec<u8>>;
@@ -205,74 +193,6 @@ impl StateStore for MemoryStore {
     }
 }
 
-/// A directory-backed [`StateStore`]: `wal.bin` + `checkpoint.bin`.
-/// Rewrites go through a temp file and an atomic rename, so a crash
-/// mid-rewrite leaves either the old file or the new one, never a mix.
-#[derive(Debug)]
-pub struct DirStore {
-    journal: PathBuf,
-    checkpoint: PathBuf,
-}
-
-impl DirStore {
-    /// Opens (creating if needed) `dir` as a state store.
-    ///
-    /// # Errors
-    ///
-    /// Any error creating the directory.
-    pub fn open(dir: &Path) -> io::Result<Self> {
-        fs::create_dir_all(dir)?;
-        Ok(Self {
-            journal: dir.join("wal.bin"),
-            checkpoint: dir.join("checkpoint.bin"),
-        })
-    }
-
-    fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, path)
-    }
-}
-
-impl StateStore for DirStore {
-    fn load_journal(&self) -> io::Result<Vec<u8>> {
-        match fs::read(&self.journal) {
-            Ok(bytes) => Ok(bytes),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn append_journal(&self, bytes: &[u8]) -> io::Result<()> {
-        let mut f = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.journal)?;
-        f.write_all(bytes)
-    }
-
-    fn replace_journal(&self, bytes: &[u8]) -> io::Result<()> {
-        Self::atomic_write(&self.journal, bytes)
-    }
-
-    fn load_checkpoint(&self) -> io::Result<Option<Vec<u8>>> {
-        match fs::read(&self.checkpoint) {
-            Ok(bytes) => Ok(Some(bytes)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn store_checkpoint(&self, bytes: &[u8]) -> io::Result<()> {
-        Self::atomic_write(&self.checkpoint, bytes)
-    }
-}
-
 /// What [`Journal::reopen`] found.
 #[derive(Debug)]
 pub struct ReopenReport {
@@ -282,9 +202,9 @@ pub struct ReopenReport {
     pub records: Vec<(u64, JournalRecord)>,
     /// Bytes dropped from a torn or corrupt tail.
     pub truncated_bytes: u64,
-    /// Set when the whole file had to be discarded (bad magic, unknown
-    /// schema version, or a short header).
-    pub reset_reason: Option<&'static str>,
+    /// Set when the whole file had to be discarded: a bad magic, an
+    /// unknown schema version, or no intact base-sequence frame.
+    pub reset_reason: Option<Reject>,
 }
 
 /// The append-side handle on the write-ahead journal.
@@ -296,43 +216,48 @@ pub struct Journal {
     append_errors: u64,
 }
 
-fn header_bytes(base_seq: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN);
-    out.extend_from_slice(&JOURNAL_MAGIC);
-    out.extend_from_slice(&JOURNAL_SCHEMA_VERSION.to_le_bytes());
-    out.extend_from_slice(&base_seq.to_le_bytes());
+/// An empty log based at `base_seq`: the header and the base frame.
+fn log_start(base_seq: u64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + FRAME_OVERHEAD + 8);
+    out.extend_from_slice(&WAL.header());
+    push_frame(&mut out, |payload| {
+        payload.extend_from_slice(&base_seq.to_le_bytes());
+    });
     out
 }
 
 fn encode_frame(record: &JournalRecord) -> Vec<u8> {
     let payload = serde_json::to_vec(record).expect("journal records always serialize");
-    let mut out = Vec::with_capacity(4 + payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&checksum(&payload).to_le_bytes());
+    let mut out = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
+    push_frame(&mut out, |out| out.extend_from_slice(&payload));
     out
 }
 
 impl Journal {
+    /// A handle whose next append gets `next_seq`.
+    fn at(store: Rc<dyn StateStore>, next_seq: u64, records_since_compaction: u64) -> Self {
+        Self {
+            store,
+            next_seq,
+            records_since_compaction,
+            append_errors: 0,
+        }
+    }
+
     /// Starts a fresh, empty journal at sequence 0 (a first install).
     ///
     /// # Errors
     ///
     /// Any error writing the header to the store.
     pub fn create(store: Rc<dyn StateStore>) -> io::Result<Self> {
-        store.replace_journal(&header_bytes(0))?;
-        Ok(Self {
-            store,
-            next_seq: 0,
-            records_since_compaction: 0,
-            append_errors: 0,
-        })
+        store.replace_journal(&log_start(0))?;
+        Ok(Self::at(store, 0, 0))
     }
 
-    /// Reopens an existing journal after a crash: verifies the header,
-    /// scans the frames, checksums each, and truncates the store to the
-    /// longest clean prefix. A file with a bad magic/version/short header
-    /// is discarded wholesale and restarted at sequence 0.
+    /// Reopens an existing journal after a crash: salvages the longest
+    /// clean prefix of whole, checksummed frames and truncates the store
+    /// to it. A file without an intact header and base frame is
+    /// discarded wholesale and restarted at sequence 0.
     ///
     /// # Errors
     ///
@@ -340,69 +265,38 @@ impl Journal {
     /// truncates.
     pub fn reopen(store: Rc<dyn StateStore>) -> io::Result<(Self, ReopenReport)> {
         let bytes = store.load_journal()?;
-        let reset = |reason| -> io::Result<(Self, ReopenReport)> {
-            store.replace_journal(&header_bytes(0))?;
-            Ok((
-                Self {
-                    store: store.clone(),
-                    next_seq: 0,
-                    records_since_compaction: 0,
-                    append_errors: 0,
-                },
-                ReopenReport {
-                    base_seq: 0,
-                    records: Vec::new(),
-                    truncated_bytes: bytes.len() as u64,
-                    reset_reason: Some(reason),
-                },
-            ))
-        };
-        if bytes.len() < HEADER_LEN {
-            return reset("short header");
-        }
-        if bytes[..8] != JOURNAL_MAGIC {
-            return reset("bad magic");
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if version != JOURNAL_SCHEMA_VERSION {
-            return reset("unknown schema version");
-        }
-        let base_seq = u64::from_le_bytes(bytes[12..HEADER_LEN].try_into().expect("8 bytes"));
-        let mut records = Vec::new();
-        let mut offset = HEADER_LEN;
-        while let Some(len_bytes) = bytes.get(offset..offset + 4) {
-            let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes"));
-            if len > MAX_FRAME_LEN {
-                break;
+        // Frame 0 carries the base sequence; every later frame a record.
+        let mut base_seq = None;
+        let salvaged = WAL.salvage(&bytes, |payload| {
+            if base_seq.is_some() {
+                return serde_json::from_slice::<JournalRecord>(payload)
+                    .map(Some)
+                    .map_err(|_| Reject::BadPayload);
             }
-            let body_end = offset + 4 + len as usize;
-            let frame_end = body_end + 8;
-            if frame_end > bytes.len() {
-                break;
-            }
-            let payload = &bytes[offset + 4..body_end];
-            let stored = u64::from_le_bytes(bytes[body_end..frame_end].try_into().expect("8"));
-            if checksum(payload) != stored {
-                break;
-            }
-            let Ok(record) = serde_json::from_slice::<JournalRecord>(payload) else {
-                break;
+            let raw = payload.try_into().map_err(|_| Reject::BadPayload)?;
+            base_seq = Some(u64::from_le_bytes(raw));
+            Ok(None)
+        });
+        let Some(base_seq) = base_seq else {
+            store.replace_journal(&log_start(0))?;
+            let report = ReopenReport {
+                base_seq: 0,
+                records: Vec::new(),
+                truncated_bytes: bytes.len() as u64,
+                reset_reason: Some(salvaged.reject.unwrap_or(Reject::Truncated)),
             };
-            records.push((base_seq + records.len() as u64, record));
-            offset = frame_end;
-        }
-        let truncated_bytes = (bytes.len() - offset) as u64;
+            return Ok((Self::at(store, 0, 0), report));
+        };
+        let records: Vec<_> = (base_seq..)
+            .zip(salvaged.frames.into_iter().flatten())
+            .collect();
+        let truncated_bytes = (bytes.len() - salvaged.clean_len) as u64;
         if truncated_bytes > 0 {
-            store.replace_journal(&bytes[..offset])?;
+            store.replace_journal(&bytes[..salvaged.clean_len])?;
         }
-        let next_seq = base_seq + records.len() as u64;
+        let replayable = records.len() as u64;
         Ok((
-            Self {
-                store,
-                next_seq,
-                records_since_compaction: records.len() as u64,
-                append_errors: 0,
-            },
+            Self::at(store, base_seq + replayable, replayable),
             ReopenReport {
                 base_seq,
                 records,
@@ -415,12 +309,7 @@ impl Journal {
     /// A handle on `store` that performs no I/O until first use — a
     /// placeholder while recovery rebuilds the real journal.
     pub(crate) fn detached(store: Rc<dyn StateStore>) -> Self {
-        Self {
-            store,
-            next_seq: 0,
-            records_since_compaction: 0,
-            append_errors: 0,
-        }
+        Self::at(store, 0, 0)
     }
 
     /// Appends one record and returns its sequence number. Store failures
@@ -454,7 +343,7 @@ impl Journal {
     /// Rewrites the journal to an empty log based at `base_seq` (called
     /// right after a checkpoint covering everything before `base_seq`).
     pub fn compact(&mut self, base_seq: u64) {
-        if self.store.replace_journal(&header_bytes(base_seq)).is_err() {
+        if self.store.replace_journal(&log_start(base_seq)).is_err() {
             self.append_errors += 1;
             return;
         }
@@ -536,7 +425,7 @@ mod tests {
         let mut bytes = store.journal_bytes();
         // Flip a byte inside the third frame's payload.
         let frame = encode_frame(&event(0)).len();
-        let target = HEADER_LEN + 2 * frame + 10;
+        let target = log_start(0).len() + 2 * frame + 10;
         bytes[target] ^= 0x40;
         store.set_journal_bytes(bytes);
         let (_, report) = Journal::reopen(Rc::new(store)).unwrap();
@@ -553,7 +442,7 @@ mod tests {
         bytes[0] = b'X';
         store.set_journal_bytes(bytes);
         let (j2, report) = Journal::reopen(Rc::new(store)).unwrap();
-        assert_eq!(report.reset_reason, Some("bad magic"));
+        assert_eq!(report.reset_reason, Some(Reject::BadMagic));
         assert!(report.records.is_empty());
         assert_eq!(j2.next_seq(), 0);
     }
@@ -572,25 +461,5 @@ mod tests {
         assert_eq!(report.base_seq, 7);
         assert_eq!(report.records.len(), 1);
         assert_eq!(report.records[0].0, 7);
-    }
-
-    #[test]
-    fn dir_store_survives_a_host_process_restart() {
-        let dir = std::env::temp_dir().join(format!("jgre-wal-test-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        {
-            let store = Rc::new(DirStore::open(&dir).unwrap());
-            let mut j = Journal::create(store).unwrap();
-            j.append(&event(0));
-            j.append(&event(1));
-            j.append_torn_frame();
-        }
-        {
-            let store = Rc::new(DirStore::open(&dir).unwrap());
-            let (_, report) = Journal::reopen(store).unwrap();
-            assert_eq!(report.records.len(), 2);
-            assert!(report.truncated_bytes > 0);
-        }
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -62,8 +62,8 @@ pub mod stream;
 mod streaming;
 
 pub use checkpoint::{
-    config_fingerprint, decode_checkpoint, encode_checkpoint, CheckpointReject, DefenderCheckpoint,
-    MonitorSnapshot, WatchSnapshot, CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION,
+    config_fingerprint, decode_checkpoint, encode_checkpoint, DefenderCheckpoint, MonitorSnapshot,
+    WatchSnapshot, CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION,
 };
 pub use crashsafe::{CrashConsistentConfig, CrashConsistentDefender, RecoveryStats};
 pub use defender::{
@@ -71,8 +71,8 @@ pub use defender::{
 };
 pub use error::DefenseError;
 pub use journal::{
-    checksum, DirStore, Journal, JournalRecord, MemoryStore, PersistError, ReopenReport,
-    StateStore, JOURNAL_MAGIC, JOURNAL_SCHEMA_VERSION,
+    Journal, JournalRecord, MemoryStore, PersistError, ReopenReport, StateStore, JOURNAL_MAGIC,
+    JOURNAL_SCHEMA_VERSION,
 };
 pub use monitor::JgrMonitor;
 pub use naive_defense::{CallCountDefense, CallCountDetection};

@@ -1,30 +1,20 @@
-//! The framed binary event protocol.
+//! The event payloads of the `jgre serve` stream.
 //!
-//! A stream is a 12-byte header (magic + schema version, mirroring the
-//! WAL's header discipline) followed by frames:
-//!
-//! ```text
-//! | len: u32 LE | payload: len bytes | checksum: u64 LE |
-//! ```
-//!
-//! where the checksum is the same FNV-1a-64 the journal uses, taken over
-//! the payload. Payloads are tagged: `1` is a Binder-log record
+//! The stream is a [`jgre_sim::framed`] record stream with magic
+//! `JGRESTR1`; this module owns only what its payloads mean. Payloads are
+//! tagged: `1` is a Binder-log record
 //! (`at: u64 | uid: u32 | type_len: u16 | type bytes`), `2` a JGR add
 //! (`at: u64`). All integers little-endian.
 //!
 //! Decoding is *incremental*: [`FrameDecoder::feed`] accepts arbitrary
 //! byte slices (short reads, chunk boundaries inside a frame) and
 //! [`FrameDecoder::next_event`] yields an event only once its frame is
-//! complete and its checksum verifies. Corruption is a typed
-//! [`FrameReject`], never a panic: a torn tail simply stays pending,
-//! which is what lets crash recovery replay a journal truncated
-//! mid-frame.
+//! complete and its checksum verifies. Corruption is a typed [`Reject`],
+//! never a panic: a torn tail simply stays pending, which is what lets
+//! crash recovery replay a journal truncated mid-frame.
 
-use std::fmt;
-
+use jgre_sim::framed::{push_frame, Decoder, Format, Reject, Salvaged};
 use jgre_sim::{SimTime, Uid};
-
-use crate::checksum;
 
 /// Stream header magic (version baked into the trailing digit's schema
 /// constant, like `JGREWAL1`).
@@ -36,6 +26,12 @@ pub const STREAM_SCHEMA_VERSION: u32 = 1;
 /// Upper bound on a frame payload; anything larger is corruption (the
 /// length field itself may be garbage, so this caps the allocation).
 pub const MAX_FRAME_LEN: u32 = 4_096;
+
+const STREAM: Format = Format {
+    magic: STREAM_MAGIC,
+    version: STREAM_SCHEMA_VERSION,
+    max_frame_len: MAX_FRAME_LEN,
+};
 
 /// One event of the telemetry stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,77 +61,17 @@ impl StreamEvent {
     }
 }
 
-/// Why a stream (or one frame of it) was rejected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrameReject {
-    /// The header's magic is not `JGRESTR1` — not our stream at all.
-    BadMagic,
-    /// The header's schema version is not the one this build speaks.
-    StaleVersion {
-        /// The version found in the header.
-        found: u32,
-    },
-    /// A frame length exceeding [`MAX_FRAME_LEN`] — a corrupt length
-    /// field, refused before allocating.
-    OversizedFrame {
-        /// The length the corrupt field claimed.
-        len: u32,
-    },
-    /// The payload's checksum does not match the trailer.
-    ChecksumMismatch {
-        /// Checksum computed over the received payload.
-        computed: u64,
-        /// Checksum the frame trailer carried.
-        stored: u64,
-    },
-    /// An unknown payload tag (checksum valid, content nonsense).
-    BadTag {
-        /// The tag byte found.
-        found: u8,
-    },
-    /// A payload whose layout does not match its tag.
-    BadPayload,
-}
-
-impl fmt::Display for FrameReject {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FrameReject::BadMagic => write!(f, "stream header magic mismatch"),
-            FrameReject::StaleVersion { found } => write!(
-                f,
-                "stream schema version {found} (this build speaks {STREAM_SCHEMA_VERSION})"
-            ),
-            FrameReject::OversizedFrame { len } => {
-                write!(f, "frame length {len} exceeds the {MAX_FRAME_LEN} cap")
-            }
-            FrameReject::ChecksumMismatch { computed, stored } => write!(
-                f,
-                "frame checksum mismatch (computed {computed:#018x}, stored {stored:#018x})"
-            ),
-            FrameReject::BadTag { found } => write!(f, "unknown frame tag {found}"),
-            FrameReject::BadPayload => write!(f, "frame payload does not match its tag"),
-        }
-    }
-}
-
-impl std::error::Error for FrameReject {}
-
 const TAG_IPC: u8 = 1;
 const TAG_ADD: u8 = 2;
-const HEADER_LEN: usize = STREAM_MAGIC.len() + 4;
 
 /// The 12-byte stream header.
 pub fn stream_header() -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN);
-    out.extend_from_slice(&STREAM_MAGIC);
-    out.extend_from_slice(&STREAM_SCHEMA_VERSION.to_le_bytes());
-    out
+    STREAM.header().to_vec()
 }
 
 /// Appends one framed event to `out`.
 pub fn encode_event(event: &StreamEvent, out: &mut Vec<u8>) {
-    let mut payload = Vec::with_capacity(24);
-    match event {
+    push_frame(out, |payload| match event {
         StreamEvent::Ipc { at, uid, ipc_type } => {
             payload.push(TAG_IPC);
             payload.extend_from_slice(&at.as_micros().to_le_bytes());
@@ -152,11 +88,7 @@ pub fn encode_event(event: &StreamEvent, out: &mut Vec<u8>) {
             payload.push(TAG_ADD);
             payload.extend_from_slice(&at.as_micros().to_le_bytes());
         }
-    }
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let sum = checksum(&payload);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&sum.to_le_bytes());
+    });
 }
 
 /// Encodes a whole stream: header plus one frame per event.
@@ -190,144 +122,92 @@ pub fn encode_stream<'a>(events: impl IntoIterator<Item = &'a StreamEvent>) -> V
 /// assert_eq!(seen, events);
 /// assert_eq!(decoder.pending_bytes(), 0);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FrameDecoder {
-    buf: Vec<u8>,
-    pos: usize,
-    header_seen: bool,
+    frames: Decoder,
+}
+
+impl Default for FrameDecoder {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl FrameDecoder {
     /// Creates a decoder expecting a stream header first.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            frames: Decoder::new(STREAM),
+        }
     }
 
     /// Appends raw bytes received from the wire.
     pub fn feed(&mut self, bytes: &[u8]) {
-        // Reclaim consumed prefix before growing, keeping the buffer
-        // bounded by (pending + chunk) rather than the whole stream.
-        if self.pos > 0 && self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        } else if self.pos > MAX_FRAME_LEN as usize * 2 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(bytes);
+        self.frames.feed(bytes);
     }
 
     /// Bytes received but not yet decoded — a torn tail if the stream
     /// has ended.
     pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.pos
+        self.frames.pending_bytes()
     }
 
     /// Decodes the next complete frame, `Ok(None)` when more bytes are
-    /// needed, a typed [`FrameReject`] on corruption (the decoder stays
-    /// at the rejected frame; a rejected stream is fail-stop).
-    pub fn next_event(&mut self) -> Result<Option<StreamEvent>, FrameReject> {
-        if !self.header_seen {
-            if self.pending_bytes() < HEADER_LEN {
-                return Ok(None);
-            }
-            let start = self.pos;
-            if self.buf[start..start + STREAM_MAGIC.len()] != STREAM_MAGIC {
-                return Err(FrameReject::BadMagic);
-            }
-            let found = u32::from_le_bytes(
-                self.buf[start + STREAM_MAGIC.len()..start + HEADER_LEN]
-                    .try_into()
-                    .expect("4 header bytes"),
-            );
-            if found != STREAM_SCHEMA_VERSION {
-                return Err(FrameReject::StaleVersion { found });
-            }
-            self.pos += HEADER_LEN;
-            self.header_seen = true;
-        }
-        if self.pending_bytes() < 4 {
-            return Ok(None);
-        }
-        let len_bytes: [u8; 4] = self.buf[self.pos..self.pos + 4]
-            .try_into()
-            .expect("4 length bytes");
-        let len = u32::from_le_bytes(len_bytes);
-        if len == 0 || len > MAX_FRAME_LEN {
-            return Err(FrameReject::OversizedFrame { len });
-        }
-        let frame_len = 4 + len as usize + 8;
-        if self.pending_bytes() < frame_len {
-            return Ok(None);
-        }
-        let payload_start = self.pos + 4;
-        let payload_end = payload_start + len as usize;
-        let payload = &self.buf[payload_start..payload_end];
-        let stored = u64::from_le_bytes(
-            self.buf[payload_end..payload_end + 8]
-                .try_into()
-                .expect("8 checksum bytes"),
-        );
-        let computed = checksum(payload);
-        if computed != stored {
-            return Err(FrameReject::ChecksumMismatch { computed, stored });
-        }
-        let event = decode_payload(payload)?;
-        self.pos += frame_len;
-        Ok(Some(event))
+    /// needed, a typed [`Reject`] on corruption (the decoder stays at the
+    /// rejected frame; a rejected stream is fail-stop).
+    pub fn next_event(&mut self) -> Result<Option<StreamEvent>, Reject> {
+        self.frames.next(decode_payload)
     }
 }
 
-fn decode_payload(payload: &[u8]) -> Result<StreamEvent, FrameReject> {
+fn decode_payload(payload: &[u8]) -> Result<StreamEvent, Reject> {
     if payload.len() < 9 {
-        return Err(FrameReject::BadPayload);
+        return Err(Reject::BadPayload);
     }
-    let tag = payload[0];
-    let at = SimTime::from_micros(u64::from_le_bytes(
-        payload[1..9].try_into().expect("8 time bytes"),
-    ));
-    match tag {
-        TAG_ADD => {
-            if payload.len() != 9 {
-                return Err(FrameReject::BadPayload);
-            }
-            Ok(StreamEvent::JgrAdd { at })
-        }
-        TAG_IPC => {
-            if payload.len() < 15 {
-                return Err(FrameReject::BadPayload);
-            }
-            let uid = Uid::new(u32::from_le_bytes(
-                payload[9..13].try_into().expect("4 uid bytes"),
-            ));
+    let at = u64::from_le_bytes(payload[1..9].try_into().expect("8 time bytes"));
+    let at = SimTime::from_micros(at);
+    match payload[0] {
+        TAG_ADD if payload.len() == 9 => Ok(StreamEvent::JgrAdd { at }),
+        TAG_IPC if payload.len() >= 15 => {
+            let uid = u32::from_le_bytes(payload[9..13].try_into().expect("4 uid bytes"));
             let type_len = u16::from_le_bytes(payload[13..15].try_into().expect("2 length bytes"));
-            if payload.len() != 15 + type_len as usize {
-                return Err(FrameReject::BadPayload);
+            let label = &payload[15..];
+            if label.len() != usize::from(type_len) {
+                return Err(Reject::BadPayload);
             }
-            let ipc_type = std::str::from_utf8(&payload[15..])
-                .map_err(|_| FrameReject::BadPayload)?
-                .to_owned();
-            Ok(StreamEvent::Ipc { at, uid, ipc_type })
+            let ipc_type = std::str::from_utf8(label).map_err(|_| Reject::BadPayload)?;
+            Ok(StreamEvent::Ipc {
+                at,
+                uid: Uid::new(uid),
+                ipc_type: ipc_type.to_owned(),
+            })
         }
-        found => Err(FrameReject::BadTag { found }),
+        TAG_ADD | TAG_IPC => Err(Reject::BadPayload),
+        found => Err(Reject::BadTag { found }),
     }
+}
+
+/// Decodes every whole event of a stream buffer, stopping at the first
+/// rejection or at a torn tail; see [`Format::salvage`].
+pub(super) fn salvage_stream(bytes: &[u8]) -> Salvaged<StreamEvent> {
+    STREAM.salvage(bytes, decode_payload)
 }
 
 /// Decodes a complete byte buffer, returning the events plus the number
 /// of trailing bytes that did not form a whole frame (the torn tail a
 /// crash mid-append leaves behind).
-pub fn decode_stream(bytes: &[u8]) -> Result<(Vec<StreamEvent>, usize), FrameReject> {
-    let mut decoder = FrameDecoder::new();
-    decoder.feed(bytes);
-    let mut events = Vec::new();
-    while let Some(event) = decoder.next_event()? {
-        events.push(event);
+pub fn decode_stream(bytes: &[u8]) -> Result<(Vec<StreamEvent>, usize), Reject> {
+    let salvaged = salvage_stream(bytes);
+    match salvaged.reject {
+        Some(reject) => Err(reject),
+        None => Ok((salvaged.frames, bytes.len() - salvaged.clean_len)),
     }
-    Ok((events, decoder.pending_bytes()))
 }
 
 #[cfg(test)]
 mod tests {
+    use jgre_sim::framed::HEADER_LEN;
+
     use super::*;
 
     fn sample_events() -> Vec<StreamEvent> {
@@ -358,53 +238,12 @@ mod tests {
     }
 
     #[test]
-    fn bit_flip_anywhere_is_rejected_or_torn_never_panics() {
-        let events = sample_events();
-        let clean = encode_stream(&events);
-        for i in 0..clean.len() {
-            let mut corrupt = clean.clone();
-            corrupt[i] ^= 0x40;
-            // A flip in a length field can shift framing; whatever
-            // happens must be a typed outcome, not a panic, and must not
-            // silently yield *different* events than some prefix of the
-            // originals.
-            if let Ok((decoded, _)) = decode_stream(&corrupt) {
-                assert!(
-                    decoded.iter().zip(&events).all(|(d, e)| d == e),
-                    "byte {i}: decoded events diverged silently"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn truncation_at_every_boundary_is_torn_not_error() {
-        let events = sample_events();
-        let clean = encode_stream(&events);
-        for cut in HEADER_LEN..clean.len() {
-            let (decoded, torn) =
-                decode_stream(&clean[..cut]).expect("truncation is not corruption");
-            assert_eq!(torn, cut - HEADER_LEN - consumed_len(&events, &decoded));
-            assert!(decoded.len() <= events.len());
-            assert_eq!(decoded[..], events[..decoded.len()]);
-        }
-    }
-
-    fn consumed_len(all: &[StreamEvent], decoded: &[StreamEvent]) -> usize {
-        let mut buf = Vec::new();
-        for event in &all[..decoded.len()] {
-            encode_event(event, &mut buf);
-        }
-        buf.len()
-    }
-
-    #[test]
     fn stale_version_is_typed() {
         let mut bytes = encode_stream(&sample_events());
         bytes[STREAM_MAGIC.len()] = 9; // version 9 in LE
         assert_eq!(
             decode_stream(&bytes).unwrap_err(),
-            FrameReject::StaleVersion { found: 9 }
+            Reject::StaleVersion { found: 9 }
         );
     }
 
@@ -412,7 +251,7 @@ mod tests {
     fn bad_magic_is_typed() {
         let mut bytes = encode_stream(&sample_events());
         bytes[0] = b'X';
-        assert_eq!(decode_stream(&bytes).unwrap_err(), FrameReject::BadMagic);
+        assert_eq!(decode_stream(&bytes).unwrap_err(), Reject::BadMagic);
     }
 
     #[test]
@@ -424,45 +263,15 @@ mod tests {
     }
 
     #[test]
-    fn oversized_length_field_is_refused() {
-        let mut bytes = stream_header();
-        bytes.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
-        bytes.extend_from_slice(&[0; 64]);
-        assert_eq!(
-            decode_stream(&bytes).unwrap_err(),
-            FrameReject::OversizedFrame {
-                len: MAX_FRAME_LEN + 1
-            }
-        );
-    }
-
-    #[test]
     fn unknown_tag_with_valid_checksum_is_typed() {
-        let mut payload = vec![7u8]; // no such tag
-        payload.extend_from_slice(&42u64.to_le_bytes());
         let mut bytes = stream_header();
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        let sum = checksum(&payload);
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&sum.to_le_bytes());
+        push_frame(&mut bytes, |payload| {
+            payload.push(7); // no such tag
+            payload.extend_from_slice(&42u64.to_le_bytes());
+        });
         assert_eq!(
             decode_stream(&bytes).unwrap_err(),
-            FrameReject::BadTag { found: 7 }
+            Reject::BadTag { found: 7 }
         );
-    }
-
-    #[test]
-    fn garbage_never_panics() {
-        let mut state = 0xdead_beefu64;
-        for round in 0..200 {
-            let mut bytes = Vec::with_capacity(round * 3);
-            for _ in 0..round * 3 {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                bytes.push((state >> 56) as u8);
-            }
-            let _ = decode_stream(&bytes);
-        }
     }
 }

@@ -5,10 +5,10 @@
 //! log on every poll; this module runs the same algorithm *online*. The
 //! pipeline is three layers, each independently testable:
 //!
-//! 1. **Protocol** — length-prefixed, FNV-checksummed, versioned frames
-//!    carrying Binder-log and JGR-add events, with an incremental
-//!    decoder that treats torn tails as pending and corruption as typed
-//!    [`FrameReject`]s.
+//! 1. **Protocol** — Binder-log and JGR-add events carried in
+//!    [`jgre_sim::framed`] frames (length-prefixed, FNV-checksummed,
+//!    versioned), with an incremental decoder that treats torn tails as
+//!    pending and corruption as typed [`Reject`](jgre_sim::framed::Reject)s.
 //! 2. **Ingestion** — a bounded ring between producer and scorer whose
 //!    backpressure is computed in virtual time, making overload drops a
 //!    deterministic, per-reason-accounted measurement.
@@ -28,8 +28,8 @@ mod ring;
 mod service;
 
 pub use frame::{
-    decode_stream, encode_event, encode_stream, stream_header, FrameDecoder, FrameReject,
-    StreamEvent, MAX_FRAME_LEN, STREAM_MAGIC, STREAM_SCHEMA_VERSION,
+    decode_stream, encode_event, encode_stream, stream_header, FrameDecoder, StreamEvent,
+    MAX_FRAME_LEN, STREAM_MAGIC, STREAM_SCHEMA_VERSION,
 };
 pub use ring::{BoundedRing, IngestStats};
 pub use service::{

@@ -12,9 +12,8 @@
 
 use std::collections::VecDeque;
 
+use jgre_sim::framed::Reject;
 use serde::{Deserialize, Serialize};
-
-use super::frame::FrameReject;
 
 /// Deterministic bounded queue between producer and scorer.
 ///
@@ -122,13 +121,14 @@ impl IngestStats {
     }
 
     /// Counts one typed rejection.
-    pub fn record_reject(&mut self, reject: &FrameReject) {
+    pub fn record_reject(&mut self, reject: &Reject) {
         match reject {
-            FrameReject::ChecksumMismatch { .. } => self.rejected_checksum += 1,
-            FrameReject::BadMagic | FrameReject::StaleVersion { .. } => self.rejected_version += 1,
-            FrameReject::OversizedFrame { .. }
-            | FrameReject::BadTag { .. }
-            | FrameReject::BadPayload => self.rejected_malformed += 1,
+            Reject::ChecksumMismatch { .. } => self.rejected_checksum += 1,
+            Reject::BadMagic | Reject::StaleVersion { .. } => self.rejected_version += 1,
+            Reject::Truncated
+            | Reject::OversizedFrame { .. }
+            | Reject::BadTag { .. }
+            | Reject::BadPayload => self.rejected_malformed += 1,
         }
     }
 
@@ -209,9 +209,9 @@ mod tests {
             ..IngestStats::new()
         };
         let mut b = IngestStats::new();
-        b.record_reject(&FrameReject::BadPayload);
-        b.record_reject(&FrameReject::StaleVersion { found: 9 });
-        b.record_reject(&FrameReject::ChecksumMismatch {
+        b.record_reject(&Reject::BadPayload);
+        b.record_reject(&Reject::StaleVersion { found: 9 });
+        b.record_reject(&Reject::ChecksumMismatch {
             computed: 1,
             stored: 2,
         });

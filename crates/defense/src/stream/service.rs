@@ -19,11 +19,12 @@ use std::io;
 use std::sync::mpsc;
 use std::thread;
 
+use jgre_sim::framed::Reject;
 use jgre_sim::source::{EventSource, SourceConfig, SourceEventKind};
 use jgre_sim::{Histogram, SimDuration, SimTime, Uid};
 use serde::{Deserialize, Serialize};
 
-use super::frame::{encode_event, stream_header, FrameDecoder, FrameReject, StreamEvent};
+use super::frame::{encode_event, salvage_stream, stream_header, FrameDecoder, StreamEvent};
 use super::ring::{BoundedRing, IngestStats};
 use crate::{DetectionStats, IncrementalScorer, PersistError, ScoreParams, StateStore};
 
@@ -282,7 +283,7 @@ impl<'s> StreamDefender<'s> {
     pub fn with_store(config: ServeConfig, store: &'s dyn StateStore) -> Self {
         let mut defender = Self::new(config);
         defender.store = Some(store);
-        defender.compact_requested = true; // first flush writes the header
+        defender.restart_log();
         defender
     }
 
@@ -381,28 +382,26 @@ impl<'s> StreamDefender<'s> {
         // A verdict resets the window, so nothing before it can matter
         // to recovery: compact the event log down to its header.
         if self.store.is_some() {
-            self.pending_log.clear();
-            self.compact_requested = true;
+            self.restart_log();
         }
+    }
+
+    /// Starts the event log over at its header: the next flush replaces
+    /// the journal instead of appending to it.
+    fn restart_log(&mut self) {
+        self.pending_log = stream_header();
+        self.compact_requested = true;
     }
 
     fn flush_log(&mut self) {
         let Some(store) = self.store else {
             return;
         };
-        if self.io_error.is_some() {
+        if self.io_error.is_some() || self.pending_log.is_empty() {
             return;
         }
         let result = if self.compact_requested {
-            store.replace_journal(&stream_header()).and_then(|()| {
-                if self.pending_log.is_empty() {
-                    Ok(())
-                } else {
-                    store.append_journal(&self.pending_log)
-                }
-            })
-        } else if self.pending_log.is_empty() {
-            Ok(())
+            store.replace_journal(&self.pending_log)
         } else {
             store.append_journal(&self.pending_log)
         };
@@ -441,15 +440,34 @@ impl<'s> StreamDefender<'s> {
     }
 }
 
-/// Maps one synthesized source event to its wire form.
-fn to_stream_event(source: &EventSource, at: SimTime, kind: SourceEventKind) -> StreamEvent {
-    match kind {
-        SourceEventKind::Call { uid, interface } => StreamEvent::Ipc {
-            at,
-            uid,
-            ipc_type: source.interface_label(interface),
-        },
-        SourceEventKind::Add => StreamEvent::JgrAdd { at },
+/// Synthesizes and encodes `config`'s stream, handing each chunk of
+/// `chunk_frames` frames to `send` (the first chunk starts with the
+/// header) until the stream ends or `send` returns `false`.
+fn produce_chunks(config: &ServeConfig, mut send: impl FnMut(Vec<u8>) -> bool) {
+    let chunk_frames = config.chunk_frames.max(1);
+    let mut source = EventSource::new(config.source);
+    let mut chunk = stream_header();
+    let mut frames = 0usize;
+    while let Some(event) = source.next() {
+        let event = match event.kind {
+            SourceEventKind::Call { uid, interface } => StreamEvent::Ipc {
+                at: event.at,
+                uid,
+                ipc_type: source.interface_label(interface),
+            },
+            SourceEventKind::Add => StreamEvent::JgrAdd { at: event.at },
+        };
+        encode_event(&event, &mut chunk);
+        frames += 1;
+        if frames >= chunk_frames {
+            if !send(std::mem::take(&mut chunk)) {
+                return;
+            }
+            frames = 0;
+        }
+    }
+    if !chunk.is_empty() {
+        send(chunk);
     }
 }
 
@@ -469,49 +487,21 @@ pub fn run_serve_with_store(
     store: &dyn StateStore,
 ) -> Result<ServeReport, PersistError> {
     let mut defender = StreamDefender::with_store(*config, store);
-    let chunk_frames = config.chunk_frames.max(1);
     if config.threads >= 2 {
         // The channel bounds producer run-ahead; MemoryStore is !Send, so
         // journaling stays on the consumer side.
-        let source_config = config.source;
         let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(4);
-        let producer = thread::spawn(move || {
-            let mut source = EventSource::new(source_config);
-            let mut chunk = stream_header();
-            let mut frames = 0usize;
-            while let Some(event) = source.next() {
-                let event = to_stream_event(&source, event.at, event.kind);
-                encode_event(&event, &mut chunk);
-                frames += 1;
-                if frames >= chunk_frames {
-                    if tx.send(std::mem::take(&mut chunk)).is_err() {
-                        return;
-                    }
-                    frames = 0;
-                }
-            }
-            if !chunk.is_empty() {
-                let _ = tx.send(chunk);
-            }
-        });
+        let config = *config;
+        let producer = thread::spawn(move || produce_chunks(&config, |c| tx.send(c).is_ok()));
         for chunk in rx {
             defender.ingest_bytes(&chunk);
         }
         producer.join().expect("producer thread panicked");
     } else {
-        let mut source = EventSource::new(config.source);
-        let mut chunk = stream_header();
-        let mut frames = 0usize;
-        while let Some(event) = source.next() {
-            let event = to_stream_event(&source, event.at, event.kind);
-            encode_event(&event, &mut chunk);
-            frames += 1;
-            if frames >= chunk_frames {
-                defender.ingest_bytes(&std::mem::take(&mut chunk));
-                frames = 0;
-            }
-        }
-        defender.ingest_bytes(&chunk);
+        produce_chunks(config, |chunk| {
+            defender.ingest_bytes(&chunk);
+            true
+        });
     }
     defender.finish()
 }
@@ -526,7 +516,7 @@ pub struct RecoveredStream {
     pub torn_bytes: usize,
     /// The typed rejection that stopped replay, if any (a torn tail is
     /// *not* a rejection).
-    pub reject: Option<FrameReject>,
+    pub reject: Option<Reject>,
 }
 
 /// Replays a stream journal, salvaging every whole, checksummed frame
@@ -534,31 +524,11 @@ pub struct RecoveredStream {
 /// journal (never written) recovers to no events.
 pub fn recover_events(store: &dyn StateStore) -> Result<RecoveredStream, PersistError> {
     let bytes = store.load_journal().map_err(PersistError::Io)?;
-    if bytes.is_empty() {
-        return Ok(RecoveredStream {
-            events: Vec::new(),
-            torn_bytes: 0,
-            reject: None,
-        });
-    }
-    let mut decoder = FrameDecoder::new();
-    decoder.feed(&bytes);
-    let mut events = Vec::new();
-    let mut reject = None;
-    loop {
-        match decoder.next_event() {
-            Ok(Some(event)) => events.push(event),
-            Ok(None) => break,
-            Err(r) => {
-                reject = Some(r);
-                break;
-            }
-        }
-    }
+    let salvaged = salvage_stream(&bytes);
     Ok(RecoveredStream {
-        events,
-        torn_bytes: decoder.pending_bytes(),
-        reject,
+        events: salvaged.frames,
+        torn_bytes: bytes.len() - salvaged.clean_len,
+        reject: salvaged.reject,
     })
 }
 

@@ -15,10 +15,11 @@
 use std::rc::Rc;
 
 use jgre_defense::{
-    decode_checkpoint, CheckpointReject, CrashConsistentConfig, CrashConsistentDefender,
-    DefenderConfig, DetectionOutcome, MemoryStore, CHECKPOINT_SCHEMA_VERSION,
+    decode_checkpoint, CrashConsistentConfig, CrashConsistentDefender, DefenderConfig,
+    DetectionOutcome, MemoryStore, CHECKPOINT_SCHEMA_VERSION,
 };
 use jgre_framework::{CallOptions, System, SystemConfig};
+use jgre_sim::framed::Reject;
 use jgre_sim::{CrashPoint, FaultPlan, SimDuration, Uid};
 use proptest::prelude::*;
 
@@ -235,7 +236,7 @@ fn stale_checkpoint_schema_is_rejected_and_recovery_goes_journal_only() {
     cp[8..12].copy_from_slice(&99u32.to_le_bytes());
     assert_eq!(
         decode_checkpoint(&cp),
-        Err(CheckpointReject::BadVersion(99)),
+        Err(Reject::StaleVersion { found: 99 }),
         "sanity: the tamper hits the version field"
     );
     assert_ne!(99, CHECKPOINT_SCHEMA_VERSION);
@@ -256,7 +257,10 @@ fn checkpoint_checksum_rot_is_rejected_without_panicking() {
     let mut cp = store.checkpoint_bytes().expect("periodic checkpoint ran");
     let last = cp.len() - 1;
     cp[last] ^= 0x01;
-    assert_eq!(decode_checkpoint(&cp), Err(CheckpointReject::BadChecksum));
+    assert!(matches!(
+        decode_checkpoint(&cp),
+        Err(Reject::ChecksumMismatch { .. })
+    ));
     store.set_checkpoint_bytes(Some(cp));
     let resumed = CrashConsistentDefender::resume(&mut system, config(), store).unwrap();
     assert_eq!(resumed.stats().checkpoints_rejected, 1);

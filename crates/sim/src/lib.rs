@@ -16,6 +16,9 @@
 //!   experiments for post-hoc analysis.
 //! * [`FaultLayer`] — a seeded, deterministic fault injector used by the
 //!   chaos experiments to break the defender's assumptions on purpose.
+//! * [`framed`] — the one framed-record codec (magic + version header,
+//!   length-prefixed FNV-1a-checksummed frames) behind the defender's
+//!   journal, its checkpoints and the serve stream.
 //!
 //! # Example
 //!
@@ -35,6 +38,7 @@
 mod clock;
 mod event;
 mod fault;
+pub mod framed;
 mod ids;
 mod rng;
 pub mod source;
