@@ -36,11 +36,12 @@ const CHECKPOINT: Format = Format {
     max_frame_len: 1 << 26,
 };
 
-/// Serialized form of one watch entry.
+/// One watch entry: the monitor's live per-process state, and its
+/// serialized form.
 ///
 /// Timestamp maps are flattened to `Vec`s of tuples: the vendored
 /// `serde_json` only supports string map keys.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WatchSnapshot {
     /// The watched process.
     pub pid: Pid,

@@ -1,14 +1,41 @@
 //! Phase 3: the JGRE Defender service.
+//!
+//! A defender is either plain ([`JgreDefender::install`]) or durable
+//! ([`JgreDefender::install_durable`], [`JgreDefender::resume`]). A
+//! durable defender may die at any [`CrashPoint`] the fault layer's
+//! `defender-crash` channel selects, and comes back with its detection
+//! state intact:
+//!
+//! 1. every monitor event and completed decision is appended to the
+//!    write-ahead [`Journal`] before the in-memory state depending on it
+//!    is considered durable;
+//! 2. every `checkpoint_interval` records (and after every completed
+//!    pass) the full state is checkpointed and the journal compacted, so
+//!    replay is bounded;
+//! 3. on a crash, a [`Supervisor`] (Android-`init` style: bounded
+//!    consecutive restarts, exponential backoff) decides whether to
+//!    restart; recovery reopens the journal (truncating the torn tail
+//!    the dying process left), restores the newest valid checkpoint, and
+//!    replays the suffix.
+//!
+//! Bookkeeping (journal appends, checkpoint writes) costs zero virtual
+//! time; only the crash itself — supervisor backoff plus replay —
+//! advances the clock. A durable run whose crash channel never fires is
+//! therefore byte-identical to a plain one.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
 
-use jgre_framework::{KillOutcome, System};
+use jgre_framework::{KillOutcome, Supervisor, SupervisorConfig, System};
 use jgre_sim::{CrashPoint, Pid, SimDuration, SimTime, Uid};
 use serde::{Deserialize, Serialize};
 
+use crate::checkpoint::{
+    config_fingerprint, decode_checkpoint, encode_checkpoint, DefenderCheckpoint,
+};
+use crate::journal::{Journal, JournalRecord, PersistError, StateStore};
 use crate::{segment_tree_scores, DefenseError, JgrMonitor, ScoreParams, ScoreReport, UidScore};
 
 /// Defender tuning. The defaults are the paper's deployed parameters.
@@ -264,7 +291,7 @@ impl DetectionOutcome {
             .collect::<Vec<_>>()
             .join(", ");
         let mut text = format!(
-            "victim {} alarmed at {}; {} correlation round(s) over {} IPC records / {} pairs              in {}; top scores [{}]; killed {:?}; victim table now {:?}",
+            "victim {} alarmed at {}; {} correlation round(s) over {} IPC records / {} pairs in {}; top scores [{}]; killed {:?}; victim table now {:?}",
             r.victim,
             r.detected_at,
             r.rounds,
@@ -295,8 +322,69 @@ impl std::ops::Deref for DetectionOutcome {
     }
 }
 
+/// Durability settings for [`JgreDefender::install_durable`] and
+/// [`JgreDefender::resume`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct DurableConfig {
+    /// Restart policy.
+    pub supervisor: SupervisorConfig,
+    /// Journal records between periodic checkpoints — the replay bound.
+    pub checkpoint_interval: u64,
+    /// Modeled on-device cost of re-applying one journal record during
+    /// recovery (the paper measures ~1 µs per monitored event; replay is
+    /// a touch heavier for deserialize + apply).
+    pub replay_cost: SimDuration,
+}
+
+impl Default for DurableConfig {
+    fn default() -> Self {
+        Self {
+            supervisor: SupervisorConfig::default(),
+            checkpoint_interval: 512,
+            replay_cost: SimDuration::from_micros(2),
+        }
+    }
+}
+
+/// Counters describing how rough a durable defender's life has been
+/// (all zero for a plain one).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct RecoveryStats {
+    /// Times the defender process died.
+    pub crashes: u64,
+    /// Times the supervisor restarted it.
+    pub restarts: u64,
+    /// Whether the supervisor hit its restart budget and stopped trying.
+    pub gave_up: bool,
+    /// Journal records re-applied across all recoveries.
+    pub replayed_records: u64,
+    /// Torn/corrupt journal bytes dropped on reopen.
+    pub truncated_bytes: u64,
+    /// Checkpoints successfully written.
+    pub checkpoints_written: u64,
+    /// Checkpoints rejected on recovery (bad checksum, stale schema,
+    /// config mismatch) — recovery fell back to journal-only replay.
+    pub checkpoints_rejected: u64,
+    /// Virtual time spent crashed: supervisor backoff plus replay cost.
+    pub recovery_delay_us: u64,
+    /// Backing-store failures survived (loads and checkpoint writes).
+    pub store_errors: u64,
+}
+
+/// What a durable defender keeps beside the detection state: the
+/// journal, the store its checkpoints go to, and its supervisor.
+#[derive(Debug)]
+struct Durable {
+    config: DurableConfig,
+    store: Rc<dyn StateStore>,
+    /// Shared with the monitor, which appends every event to it.
+    journal: Rc<RefCell<Journal>>,
+    supervisor: Supervisor,
+    stats: RecoveryStats,
+}
+
 /// The defender service: owns the monitor, reads the driver log, scores,
-/// kills.
+/// kills — and, when durable, journals, checkpoints and recovers.
 #[derive(Debug)]
 pub struct JgreDefender {
     monitor: Rc<JgrMonitor>,
@@ -304,13 +392,9 @@ pub struct JgreDefender {
     /// Per-victim end time of the last completed pass, for alarm
     /// hysteresis.
     last_pass: RefCell<BTreeMap<Pid, SimTime>>,
-    /// When set (only by the crash-consistent harness), [`try_poll`]
-    /// consults the fault layer's defender-crash channel at each poll /
-    /// kill boundary. Off by default: an unsupervised defender never
-    /// crashes, and never draws from the channel.
-    ///
-    /// [`try_poll`]: Self::try_poll
-    crash_channel: Cell<bool>,
+    /// `None` for a plain defender, which cannot crash and never draws
+    /// from the fault layer's crash channel.
+    durable: Option<RefCell<Durable>>,
 }
 
 impl JgreDefender {
@@ -323,61 +407,89 @@ impl JgreDefender {
     ///
     /// Any [`DefenseError`] from [`DefenderConfig::validate`].
     pub fn install(system: &mut System, config: DefenderConfig) -> Result<Self, DefenseError> {
+        let defender = Self::new(config, None)?;
+        defender.monitor.attach(system);
+        Ok(defender)
+    }
+
+    /// Installs a durable defense (see the module docs) with a fresh
+    /// journal on `store`: a first boot, so any previous journal on the
+    /// store is discarded.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::Config`] for an invalid defender configuration,
+    /// [`PersistError::Io`] if the store cannot be initialised.
+    pub fn install_durable(
+        system: &mut System,
+        config: DefenderConfig,
+        durable: DurableConfig,
+        store: Rc<dyn StateStore>,
+    ) -> Result<Self, PersistError> {
+        let defender = Self::new(config, Some((durable, store.clone())))?;
+        if let Some(d) = &defender.durable {
+            *d.borrow().journal.borrow_mut() = Journal::create(store)?;
+        }
+        defender.monitor.attach(system);
+        Ok(defender)
+    }
+
+    /// Resumes a durable defense from whatever state `store` holds (the
+    /// host process restarted): reopen the journal, restore the newest
+    /// valid checkpoint, replay the suffix.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::Config`] for an invalid defender configuration,
+    /// [`PersistError::Io`] if the store cannot be read.
+    pub fn resume(
+        system: &mut System,
+        config: DefenderConfig,
+        durable: DurableConfig,
+        store: Rc<dyn StateStore>,
+    ) -> Result<Self, PersistError> {
+        let defender = Self::new(config, Some((durable, store)))?;
+        if let Some(d) = &defender.durable {
+            defender.recover(&mut d.borrow_mut(), system)?;
+        }
+        Ok(defender)
+    }
+
+    /// A defender whose monitor is not yet attached to a device. A
+    /// durable one journals into a placeholder until its constructor
+    /// creates or reopens the real journal.
+    fn new(
+        config: DefenderConfig,
+        durable: Option<(DurableConfig, Rc<dyn StateStore>)>,
+    ) -> Result<Self, DefenseError> {
         config.validate()?;
         let monitor = Rc::new(JgrMonitor::new(
             config.record_threshold,
             config.trigger_threshold,
         )?);
-        monitor.set_fault_layer(system.faults().clone());
-        system.register_jgr_observer(monitor.clone());
-        system.driver_mut().set_defense_recording(true);
+        let durable = durable.map(|(config, store)| {
+            let journal = Rc::new(RefCell::new(Journal::detached(store.clone())));
+            monitor.attach_journal(journal.clone());
+            RefCell::new(Durable {
+                supervisor: Supervisor::new(config.supervisor),
+                config,
+                store,
+                journal,
+                stats: RecoveryStats::default(),
+            })
+        });
         Ok(Self {
             monitor,
             config,
-            last_pass: RefCell::new(BTreeMap::new()),
-            crash_channel: Cell::new(false),
+            last_pass: RefCell::default(),
+            durable,
         })
     }
 
-    /// Rebuilds a defender around an already-recovered monitor and
-    /// cooldown state (the crash-consistent harness, after replay).
-    ///
-    /// # Errors
-    ///
-    /// Any [`DefenseError`] from [`DefenderConfig::validate`].
-    pub(crate) fn from_parts(
-        monitor: Rc<JgrMonitor>,
-        config: DefenderConfig,
-        last_pass: Vec<(Pid, SimTime)>,
-    ) -> Result<Self, DefenseError> {
-        config.validate()?;
-        Ok(Self {
-            monitor,
-            config,
-            last_pass: RefCell::new(last_pass.into_iter().collect()),
-            crash_channel: Cell::new(false),
-        })
-    }
-
-    /// The per-victim cooldown stamps, in pid order (checkpointing).
-    pub(crate) fn last_pass_entries(&self) -> Vec<(Pid, SimTime)> {
-        self.last_pass
-            .borrow()
-            .iter()
-            .map(|(&pid, &at)| (pid, at))
-            .collect()
-    }
-
-    /// Arms or disarms the crash channel (crash-consistent harness only).
-    pub(crate) fn set_crash_channel(&self, enabled: bool) {
-        self.crash_channel.set(enabled);
-    }
-
-    /// Returns `Err(point)` when the armed crash channel says the
-    /// defender process dies at `point`; a cheap no-op (no RNG draw)
-    /// while the channel is disarmed.
+    /// Returns `Err(point)` when a durable defender's process dies at
+    /// `point`; a plain defender never draws from the crash channel.
     fn crash_if(&self, system: &System, point: CrashPoint) -> Result<(), CrashPoint> {
-        if self.crash_channel.get() && system.faults().crash_at(point) {
+        if self.durable.is_some() && system.faults().crash_at(point) {
             return Err(point);
         }
         Ok(())
@@ -391,6 +503,33 @@ impl JgreDefender {
     /// The active configuration.
     pub fn config(&self) -> &DefenderConfig {
         &self.config
+    }
+
+    /// Forces a checkpoint now (benchmarks); a no-op for a plain
+    /// defender.
+    pub fn checkpoint_now(&self, system: &System) {
+        if let Some(d) = &self.durable {
+            self.write_checkpoint(&mut d.borrow_mut(), system, 0);
+        }
+    }
+
+    /// Lifetime crash and recovery counters.
+    pub fn stats(&self) -> RecoveryStats {
+        self.durable
+            .as_ref()
+            .map(|d| d.borrow().stats)
+            .unwrap_or_default()
+    }
+
+    /// The restart policy's state, for a durable defender.
+    pub fn supervisor(&self) -> Option<Supervisor> {
+        self.durable.as_ref().map(|d| d.borrow().supervisor.clone())
+    }
+
+    /// Whether the defender process is alive: false once a durable
+    /// defender's supervisor has given up.
+    pub fn is_running(&self) -> bool {
+        !self.stats().gave_up
     }
 
     /// Runs one scoring pass against the victim's current recording
@@ -434,26 +573,60 @@ impl JgreDefender {
     ///    [`DefenderConfig::cooldown`] (alarm hysteresis);
     /// 5. whatever reduced confidence is reported in
     ///    [`DetectionOutcome::Degraded`].
+    ///
+    /// A durable defender also journals the decision and checkpoints. If
+    /// the crash channel kills it mid-pass, the poll returns `None` (the
+    /// outcome died with the process) after the supervised restart and
+    /// recovery; once the supervisor gives up, every poll returns `None`.
     pub fn poll(&self, system: &mut System) -> Option<DetectionOutcome> {
-        debug_assert!(
-            !self.crash_channel.get(),
-            "an armed crash channel requires try_poll"
-        );
-        self.try_poll(system).ok().flatten()
+        let Some(durable) = &self.durable else {
+            return self.pass(system).ok().flatten();
+        };
+        let d = &mut *durable.borrow_mut();
+        if d.stats.gave_up {
+            return None;
+        }
+        self.commit(d, system).unwrap_or_else(|_| {
+            self.crash(d, system);
+            None
+        })
     }
 
-    /// [`poll`](Self::poll), with the defender's own mortality modeled:
-    /// when the crash channel is armed (crash-consistent harness) and the
-    /// fault layer fires, the pass stops dead at the given
-    /// [`CrashPoint`] — whatever kills and clock advances already
-    /// happened stay happened, the monitor is *not* reset, the driver log
-    /// is *not* pruned, and no outcome is produced. Exactly the state a
-    /// real process leaves behind when it is SIGKILLed mid-pass.
-    ///
-    /// # Errors
-    ///
-    /// The [`CrashPoint`] at which the defender died.
-    pub fn try_poll(&self, system: &mut System) -> Result<Option<DetectionOutcome>, CrashPoint> {
+    /// Runs a pass, journals its decision and checkpoints when due. Each
+    /// step is a crash boundary; a tick that passes them all is healthy.
+    fn commit(
+        &self,
+        d: &mut Durable,
+        system: &mut System,
+    ) -> Result<Option<DetectionOutcome>, CrashPoint> {
+        let outcome = self.pass(system)?;
+        if let Some(outcome) = &outcome {
+            // The decision append is itself a kill boundary: the process
+            // can die with this very write in flight.
+            self.crash_if(system, CrashPoint::JournalAppend)?;
+            d.journal.borrow_mut().append(&JournalRecord::Decision {
+                victim: outcome.victim,
+                completed_at: system.now(),
+                killed: outcome.killed.clone(),
+            });
+        }
+        if outcome.is_some()
+            || d.journal.borrow().records_since_compaction() >= d.config.checkpoint_interval
+        {
+            self.crash_if(system, CrashPoint::Checkpoint)?;
+            self.write_checkpoint(d, system, 0);
+        }
+        d.supervisor.on_healthy();
+        Ok(outcome)
+    }
+
+    /// One detection + recovery pass. When the crash channel fires, the
+    /// pass stops dead at that [`CrashPoint`]: whatever kills and clock
+    /// advances already happened stay happened, the monitor is *not*
+    /// reset, the driver log is *not* pruned, and no outcome is produced
+    /// — exactly the state a real process leaves behind when it is
+    /// SIGKILLed mid-pass.
+    fn pass(&self, system: &mut System) -> Result<Option<DetectionOutcome>, CrashPoint> {
         let now = system.now();
         let Some(victim) = self.monitor.alarmed_pids().into_iter().find(|pid| {
             self.last_pass
@@ -468,18 +641,15 @@ impl JgreDefender {
         let mut causes: Vec<DegradationCause> = Vec::new();
 
         let mut adds = self.monitor.add_times(victim);
+        // Nothing recorded, or (the ground-truth cross-check) a dead
+        // victim: nothing to recover.
         let since = match self.monitor.recording_since(victim) {
-            Some(t) if !adds.is_empty() => t,
+            Some(t) if !adds.is_empty() && system.jgr_count(victim).is_some() => t,
             _ => {
                 self.monitor.reset(victim);
                 return Ok(None);
             }
         };
-        // Ground-truth cross-check: a dead victim has nothing to recover.
-        if system.jgr_count(victim).is_none() {
-            self.monitor.reset(victim);
-            return Ok(None);
-        }
         if !adds.windows(2).all(|w| w[0] <= w[1]) {
             adds.sort_unstable();
             causes.push(DegradationCause::UnsortedJgrTimestamps);
@@ -611,8 +781,7 @@ impl JgreDefender {
             }
         }
         let response_delay = SimDuration::from_micros(response_us);
-        self.monitor.reset(victim);
-        self.last_pass.borrow_mut().insert(victim, system.now());
+        self.close_pass(victim, system.now());
         // Bound the proc-file log: records older than the recovered
         // window are useless now.
         system.driver_mut().prune_log(since);
@@ -634,6 +803,124 @@ impl JgreDefender {
         } else {
             DetectionOutcome::Degraded { report, causes }
         }))
+    }
+
+    /// The state transition of a completed pass, live or replayed from a
+    /// journaled decision: clear the victim's watch and stamp its
+    /// cooldown.
+    fn close_pass(&self, victim: Pid, completed_at: SimTime) {
+        self.monitor.reset(victim);
+        self.last_pass.borrow_mut().insert(victim, completed_at);
+    }
+
+    /// The defender process dies; the supervisor decides what happens
+    /// next.
+    fn crash(&self, d: &mut Durable, system: &mut System) {
+        d.stats.crashes += 1;
+        // The write in flight when the process died: a torn tail that
+        // reopen must truncate. Every crash exercises that path.
+        d.journal.borrow_mut().append_torn_frame();
+        // The dead process's observer registrations die with it.
+        system.clear_jgr_observers();
+        let Some(backoff) = d.supervisor.on_crash() else {
+            d.stats.gave_up = true;
+            return;
+        };
+        system.clock().advance(backoff);
+        d.stats.recovery_delay_us += backoff.as_micros();
+        d.stats.restarts += 1;
+        if self.recover(d, system).is_err() {
+            d.stats.store_errors += 1;
+            d.stats.gave_up = true;
+        }
+    }
+
+    /// Rebuilds the monitor and cooldown state from the store: newest
+    /// valid checkpoint (if any) plus a replay of the journal suffix.
+    fn recover(&self, d: &mut Durable, system: &mut System) -> Result<(), PersistError> {
+        let fingerprint = config_fingerprint(&self.config);
+        let cp = match d.store.load_checkpoint() {
+            Ok(Some(bytes)) => match decode_checkpoint(&bytes) {
+                Ok(cp) if cp.config_fingerprint == fingerprint => Some(cp),
+                Ok(_) | Err(_) => {
+                    // Stale schema, bit rot, or a config change: the
+                    // checkpoint is untrustworthy. Journal-only recovery.
+                    d.stats.checkpoints_rejected += 1;
+                    None
+                }
+            },
+            Ok(None) => None,
+            Err(_) => {
+                d.stats.store_errors += 1;
+                None
+            }
+        };
+        let (journal, report) = Journal::reopen(d.store.clone())?;
+        d.stats.truncated_bytes += report.truncated_bytes;
+        let (snapshot, last_pass, start_seq) = cp
+            .map(|cp| (cp.monitor, cp.last_pass, cp.journal_seq))
+            .unwrap_or_default();
+        self.monitor.restore(&snapshot);
+        *self.last_pass.borrow_mut() = last_pass.into_iter().collect();
+        let mut replayed = 0u64;
+        for (_, record) in report.records.iter().filter(|(seq, _)| *seq >= start_seq) {
+            replayed += 1;
+            match record {
+                JournalRecord::Event {
+                    pid,
+                    kind,
+                    at,
+                    logged_at,
+                    table_size,
+                } => self
+                    .monitor
+                    .replay_event(*pid, *kind, *at, *logged_at, *table_size),
+                JournalRecord::Decision {
+                    victim,
+                    completed_at,
+                    ..
+                } => self.close_pass(*victim, *completed_at),
+            }
+        }
+        d.stats.replayed_records += replayed;
+        let replay_cost = d.config.replay_cost * replayed;
+        system.clock().advance(replay_cost);
+        d.stats.recovery_delay_us += replay_cost.as_micros();
+        self.monitor.attach(system);
+        *d.journal.borrow_mut() = journal;
+        // Checkpoint the rebuilt state and rebase the journal past
+        // everything applied, so the *next* crash replays from here.
+        self.write_checkpoint(d, system, start_seq);
+        Ok(())
+    }
+
+    /// Writes a checkpoint of the current state and compacts the journal
+    /// behind it. `seq_floor` keeps the sequence monotone when the
+    /// journal itself had to be reset (bad header) while a checkpoint
+    /// from a later epoch survived.
+    fn write_checkpoint(&self, d: &mut Durable, system: &System, seq_floor: u64) {
+        let journal_seq = d.journal.borrow().next_seq().max(seq_floor);
+        let cp = DefenderCheckpoint {
+            journal_seq,
+            taken_at: system.now(),
+            config_fingerprint: config_fingerprint(&self.config),
+            monitor: self.monitor.snapshot(),
+            last_pass: self
+                .last_pass
+                .borrow()
+                .iter()
+                .map(|(&p, &t)| (p, t))
+                .collect(),
+        };
+        match d.store.store_checkpoint(&encode_checkpoint(&cp)) {
+            Ok(()) => {
+                d.stats.checkpoints_written += 1;
+                d.journal.borrow_mut().compact(journal_seq);
+            }
+            // Without a durable checkpoint the journal stays the only
+            // truth: do NOT compact.
+            Err(_) => d.stats.store_errors += 1,
+        }
     }
 
     /// Groups the driver's transaction log into the per-app, per-IPC-type
@@ -729,6 +1016,7 @@ fn call_count_scores(ipc: &BTreeMap<Uid, BTreeMap<String, Vec<SimTime>>>) -> Sco
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::MemoryStore;
     use jgre_framework::{CallOptions, SystemConfig};
     use jgre_sim::{FaultIntensity, FaultKind, FaultPlan};
 
@@ -810,6 +1098,7 @@ mod tests {
         assert!(text.contains("correlation round"), "{text}");
         assert!(text.contains("killed [Uid(10000)]"), "{text}");
         assert!(!text.contains("DEGRADED"), "{text}");
+        assert!(!text.contains("  "), "no double space: {text}");
     }
 
     #[test]
@@ -1064,5 +1353,227 @@ mod tests {
                 "cooldown must suppress an immediate second pass"
             );
         }
+    }
+
+    const CAP: usize = 4_000;
+
+    fn scaled_config() -> DefenderConfig {
+        DefenderConfig {
+            record_threshold: CAP / 12,
+            trigger_threshold: CAP / 4,
+            normal_level: CAP / 10,
+            ..DefenderConfig::default()
+        }
+    }
+
+    fn durable_config() -> DurableConfig {
+        DurableConfig {
+            checkpoint_interval: 64,
+            ..DurableConfig::default()
+        }
+    }
+
+    fn boot_capped(faults: FaultPlan) -> System {
+        System::boot_with(SystemConfig {
+            seed: 7,
+            jgr_capacity: Some(CAP),
+            faults,
+            ..SystemConfig::default()
+        })
+    }
+
+    fn attack_until_durable_detection(
+        system: &mut System,
+        defender: &JgreDefender,
+        evil: Uid,
+        budget: usize,
+    ) -> Option<DetectionOutcome> {
+        for _ in 0..budget {
+            system
+                .call_service(
+                    evil,
+                    "clipboard",
+                    "addPrimaryClipChangedListener",
+                    CallOptions::default(),
+                )
+                .unwrap();
+            if let Some(d) = defender.poll(system) {
+                return Some(d);
+            }
+            // A missing pid means the kill landed but the outcome died
+            // with the process.
+            system.pid_of(evil)?;
+        }
+        panic!("attack must trip the alarm within {budget} calls");
+    }
+
+    #[test]
+    fn no_crash_channel_means_no_crashes_and_a_clean_detection() {
+        let mut system = boot_capped(FaultPlan::none());
+        let store = Rc::new(MemoryStore::new());
+        let defender =
+            JgreDefender::install_durable(&mut system, scaled_config(), durable_config(), store)
+                .unwrap();
+        let evil = system.install_app("com.evil", []);
+        let d = attack_until_durable_detection(&mut system, &defender, evil, 8_000)
+            .expect("no crash channel: the outcome is delivered");
+        assert_eq!(d.killed, vec![evil]);
+        let stats = defender.stats();
+        assert_eq!(stats.crashes, 0);
+        assert!(!stats.gave_up);
+        assert!(stats.checkpoints_written >= 1, "decision checkpoint");
+    }
+
+    #[test]
+    fn crash_at_poll_start_recovers_and_still_kills_the_attacker() {
+        let plan = FaultPlan {
+            crash: 1.0,
+            crash_budget: 1,
+            crash_point: Some(CrashPoint::PollStart),
+            ..FaultPlan::none()
+        };
+        let mut system = boot_capped(plan);
+        let store = Rc::new(MemoryStore::new());
+        let defender =
+            JgreDefender::install_durable(&mut system, scaled_config(), durable_config(), store)
+                .unwrap();
+        let evil = system.install_app("com.evil", []);
+        attack_until_durable_detection(&mut system, &defender, evil, 8_000);
+        assert!(system.pid_of(evil).is_none(), "attacker still dies");
+        let stats = defender.stats();
+        assert_eq!(stats.crashes, 1);
+        assert_eq!(stats.restarts, 1);
+        assert!(!stats.gave_up);
+        assert!(stats.truncated_bytes > 0, "every crash leaves a torn tail");
+        assert!(stats.recovery_delay_us > 0);
+        assert!(defender.is_running());
+    }
+
+    #[test]
+    fn zero_restart_budget_gives_up_permanently() {
+        let plan = FaultPlan {
+            crash: 1.0,
+            crash_budget: 1,
+            crash_point: Some(CrashPoint::PollStart),
+            ..FaultPlan::none()
+        };
+        let mut system = boot_capped(plan);
+        let store = Rc::new(MemoryStore::new());
+        let durable = DurableConfig {
+            supervisor: SupervisorConfig {
+                max_restarts: 0,
+                ..SupervisorConfig::default()
+            },
+            ..durable_config()
+        };
+        let defender =
+            JgreDefender::install_durable(&mut system, scaled_config(), durable, store).unwrap();
+        let evil = system.install_app("com.evil", []);
+        for _ in 0..6_000 {
+            system
+                .call_service(
+                    evil,
+                    "clipboard",
+                    "addPrimaryClipChangedListener",
+                    CallOptions::default(),
+                )
+                .unwrap();
+            assert!(defender.poll(&mut system).is_none());
+        }
+        let stats = defender.stats();
+        assert!(stats.gave_up);
+        assert_eq!(stats.crashes, 1, "a dead defender cannot crash again");
+        assert_eq!(stats.restarts, 0);
+        assert!(!defender.is_running());
+        assert!(system.pid_of(evil).is_some(), "nobody left to kill it");
+    }
+
+    #[test]
+    fn resume_restores_monitor_state_across_a_host_restart() {
+        let mut system = boot_capped(FaultPlan::none());
+        let store = Rc::new(MemoryStore::new());
+        let defender = JgreDefender::install_durable(
+            &mut system,
+            scaled_config(),
+            durable_config(),
+            store.clone(),
+        )
+        .unwrap();
+        let evil = system.install_app("com.evil", []);
+        // Push past the record threshold but stay below the trigger.
+        for _ in 0..600 {
+            system
+                .call_service(
+                    evil,
+                    "clipboard",
+                    "addPrimaryClipChangedListener",
+                    CallOptions::default(),
+                )
+                .unwrap();
+            assert!(defender.poll(&mut system).is_none());
+        }
+        let live = defender.monitor().current_count(system.system_server_pid());
+        assert!(live > 0);
+        drop(defender);
+        system.clear_jgr_observers();
+        let resumed =
+            JgreDefender::resume(&mut system, scaled_config(), durable_config(), store).unwrap();
+        let recovered = resumed.monitor().current_count(system.system_server_pid());
+        assert_eq!(recovered, live, "replay rebuilds the table size");
+        // And the resumed defender still finishes the job.
+        let d = attack_until_durable_detection(&mut system, &resumed, evil, 8_000);
+        assert!(d.is_some() || system.pid_of(evil).is_none());
+    }
+
+    /// Journal records since the last compaction: the next crash's
+    /// replay bound.
+    fn journal_records(defender: &JgreDefender) -> u64 {
+        let d = defender
+            .durable
+            .as_ref()
+            .expect("durable defender")
+            .borrow();
+        let records = d.journal.borrow().records_since_compaction();
+        records
+    }
+
+    #[test]
+    fn periodic_checkpoints_bound_replay() {
+        let mut system = boot_capped(FaultPlan::none());
+        let store = Rc::new(MemoryStore::new());
+        let interval = durable_config().checkpoint_interval;
+        let defender = JgreDefender::install_durable(
+            &mut system,
+            scaled_config(),
+            durable_config(),
+            store.clone(),
+        )
+        .unwrap();
+        let evil = system.install_app("com.evil", []);
+        for _ in 0..600 {
+            system
+                .call_service(
+                    evil,
+                    "clipboard",
+                    "addPrimaryClipChangedListener",
+                    CallOptions::default(),
+                )
+                .unwrap();
+            defender.poll(&mut system);
+            assert!(
+                journal_records(&defender) < interval + 8,
+                "compaction keeps the journal near the interval"
+            );
+        }
+        assert!(defender.stats().checkpoints_written > 1);
+        drop(defender);
+        system.clear_jgr_observers();
+        let resumed =
+            JgreDefender::resume(&mut system, scaled_config(), durable_config(), store).unwrap();
+        assert!(
+            resumed.stats().replayed_records <= interval + 8,
+            "replay is bounded by the checkpoint interval, got {}",
+            resumed.stats().replayed_records
+        );
     }
 }

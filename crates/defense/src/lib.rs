@@ -26,6 +26,15 @@
 //! reduction in confidence is reported as a typed
 //! [`DegradationCause`] inside [`DetectionOutcome::Degraded`].
 //!
+//! The defender itself may die. [`JgreDefender::install_durable`] and
+//! [`JgreDefender::resume`] build the same defender with a write-ahead
+//! [`Journal`], checkpoints and a supervised restart loop
+//! ([`DurableConfig`]), so a crash at any [`jgre_sim::CrashPoint`] costs
+//! a bounded, accounted recovery delay ([`RecoveryStats`]) instead of the
+//! incident. [`JgreDefender::install`] builds the plain one, which never
+//! crashes. [`stream::StreamDefender`] runs Algorithm 1 online over a
+//! decoded event stream, with its own journal.
+//!
 //! # Example
 //!
 //! ```
@@ -50,7 +59,6 @@
 #![deny(missing_docs)]
 
 mod checkpoint;
-mod crashsafe;
 mod defender;
 mod error;
 mod journal;
@@ -65,9 +73,9 @@ pub use checkpoint::{
     config_fingerprint, decode_checkpoint, encode_checkpoint, DefenderCheckpoint, MonitorSnapshot,
     WatchSnapshot, CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION,
 };
-pub use crashsafe::{CrashConsistentConfig, CrashConsistentDefender, RecoveryStats};
 pub use defender::{
-    DefenderConfig, DegradationCause, DetectionOutcome, DetectionReport, JgreDefender, ScoringKind,
+    DefenderConfig, DegradationCause, DetectionOutcome, DetectionReport, DurableConfig,
+    JgreDefender, RecoveryStats, ScoringKind,
 };
 pub use error::DefenseError;
 pub use journal::{

@@ -5,26 +5,18 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use jgre_art::{JgrEvent, JgrEventKind, JgrObserver};
+use jgre_framework::System;
 use jgre_sim::{apply_skew, FaultLayer, JgrLogAction, Pid, SimTime};
 
 use crate::checkpoint::{MonitorSnapshot, WatchSnapshot};
 use crate::journal::{Journal, JournalRecord};
 use crate::DefenseError;
 
-#[derive(Debug, Default)]
-struct WatchState {
-    current: usize,
-    recording_since: Option<SimTime>,
-    add_times: Vec<SimTime>,
-    remove_times: Vec<SimTime>,
-    alarmed: bool,
-}
-
 #[derive(Debug)]
 struct Inner {
     record_threshold: usize,
     trigger_threshold: usize,
-    watches: BTreeMap<Pid, WatchState>,
+    watches: BTreeMap<Pid, WatchSnapshot>,
     faults: Option<FaultLayer>,
     journal: Option<Rc<RefCell<Journal>>>,
 }
@@ -83,12 +75,6 @@ impl JgrMonitor {
         })
     }
 
-    /// Convenience: a monitor with the paper's 4000/12000 thresholds.
-    pub fn with_paper_thresholds() -> Self {
-        Self::new(crate::RECORD_THRESHOLD, crate::TRIGGER_THRESHOLD)
-            .expect("the paper's 4000 < 12000 thresholds are statically valid")
-    }
-
     /// Routes this monitor's event journal through a fault layer (the
     /// truncate/corrupt channels). Installed by the defender so the
     /// monitor shares the device's fault stream.
@@ -96,10 +82,21 @@ impl JgrMonitor {
         self.inner.borrow_mut().faults = Some(faults);
     }
 
+    /// Wires the monitor into a device: shares the device's fault layer,
+    /// registers it on every current and future process, and turns on the
+    /// Binder driver's IPC recording (the Figure 10 overhead). Every
+    /// defender installs its monitor through here, and a recovering one
+    /// re-registers it.
+    pub(crate) fn attach(self: &Rc<Self>, system: &mut System) {
+        self.set_fault_layer(system.faults().clone());
+        system.register_jgr_observer(self.clone());
+        system.driver_mut().set_defense_recording(true);
+    }
+
     /// Routes every observed event through a write-ahead journal before
-    /// applying it. Installed by the crash-consistent defender *after*
-    /// replay, so recovery does not re-journal what it replays.
-    pub fn attach_journal(&self, journal: Rc<RefCell<Journal>>) {
+    /// applying it. Journal replay goes through
+    /// [`replay_event`](Self::replay_event), which never re-journals.
+    pub(crate) fn attach_journal(&self, journal: Rc<RefCell<Journal>>) {
         self.inner.borrow_mut().journal = Some(journal);
     }
 
@@ -137,16 +134,6 @@ impl JgrMonitor {
             .unwrap_or_default()
     }
 
-    /// Recorded remove timestamps for `pid`.
-    pub fn remove_times(&self, pid: Pid) -> Vec<SimTime> {
-        self.inner
-            .borrow()
-            .watches
-            .get(&pid)
-            .map(|w| w.remove_times.clone())
-            .unwrap_or_default()
-    }
-
     /// When recording started for `pid`, if it is recording.
     pub fn recording_since(&self, pid: Pid) -> Option<SimTime> {
         self.inner
@@ -171,42 +158,18 @@ impl JgrMonitor {
 
     /// Serializable snapshot of every watch (checkpointing).
     pub fn snapshot(&self) -> MonitorSnapshot {
-        let inner = self.inner.borrow();
         MonitorSnapshot {
-            watches: inner
-                .watches
-                .iter()
-                .map(|(&pid, w)| WatchSnapshot {
-                    pid,
-                    current: w.current,
-                    recording_since: w.recording_since,
-                    add_times: w.add_times.clone(),
-                    remove_times: w.remove_times.clone(),
-                    alarmed: w.alarmed,
-                })
-                .collect(),
+            watches: self.inner.borrow().watches.values().cloned().collect(),
         }
     }
 
     /// Replaces every watch with the snapshot's state (recovery from a
     /// checkpoint). Thresholds and the fault layer are untouched.
     pub fn restore(&self, snapshot: &MonitorSnapshot) {
-        let mut inner = self.inner.borrow_mut();
-        inner.watches = snapshot
+        self.inner.borrow_mut().watches = snapshot
             .watches
             .iter()
-            .map(|w| {
-                (
-                    w.pid,
-                    WatchState {
-                        current: w.current,
-                        recording_since: w.recording_since,
-                        add_times: w.add_times.clone(),
-                        remove_times: w.remove_times.clone(),
-                        alarmed: w.alarmed,
-                    },
-                )
-            })
+            .map(|w| (w.pid, w.clone()))
             .collect();
     }
 
@@ -237,7 +200,10 @@ impl JgrMonitor {
     ) {
         let record_threshold = inner.record_threshold;
         let trigger_threshold = inner.trigger_threshold;
-        let watch = inner.watches.entry(pid).or_default();
+        let watch = inner.watches.entry(pid).or_insert_with(|| WatchSnapshot {
+            pid,
+            ..WatchSnapshot::default()
+        });
         watch.current = table_size;
         if watch.current >= record_threshold {
             if watch.recording_since.is_none() {

@@ -52,9 +52,7 @@ impl CallCountDefense {
         normal_level: usize,
     ) -> Result<Self, DefenseError> {
         let monitor = Rc::new(JgrMonitor::new(record_threshold, trigger_threshold)?);
-        monitor.set_fault_layer(system.faults().clone());
-        system.register_jgr_observer(monitor.clone());
-        system.driver_mut().set_defense_recording(true);
+        monitor.attach(system);
         Ok(Self {
             monitor,
             normal_level,
