@@ -252,46 +252,30 @@ impl Condensation {
 /// returns `(item, result)` pairs in the original `items` order — one
 /// wave of the parallel bottom-up scheduler.
 ///
-/// Items are dealt round-robin to workers, and results are re-assembled
-/// positionally, so the output (and therefore everything folded from it)
-/// is identical for every thread count — the determinism the incremental
-/// cache's fingerprints rely on. With `threads <= 1` no thread is
-/// spawned at all.
+/// Items are dealt round-robin to workers by [`jgre_sim::round_robin`],
+/// and results are re-assembled positionally, so the output (and
+/// therefore everything folded from it) is identical for every thread
+/// count — the determinism the incremental cache's fingerprints rely on.
+/// With `threads <= 1` no thread is spawned at all.
 pub fn run_wave<R, F>(items: &[usize], threads: usize, work: F) -> Vec<(usize, R)>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let workers = threads.min(items.len());
-    if workers <= 1 {
-        return items.iter().map(|&i| (i, work(i))).collect();
-    }
-    let mut slots: Vec<Option<(usize, R)>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    std::thread::scope(|scope| {
-        let work = &work;
-        let handles: Vec<_> = (0..workers)
-            .map(|t| {
-                scope.spawn(move || {
-                    items
-                        .iter()
-                        .enumerate()
-                        .skip(t)
-                        .step_by(workers)
-                        .map(|(pos, &i)| (pos, (i, work(i))))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (pos, result) in handle.join().expect("wave worker panicked") {
-                slots[pos] = Some(result);
-            }
-        }
+    let shards = jgre_sim::round_robin(items.len(), threads, |shard| {
+        shard
+            .map(|pos| (items[pos], work(items[pos])))
+            .collect::<Vec<_>>()
     });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every wave slot filled"))
+    // Position `pos` is the next unread result of worker `pos % W`.
+    let mut shards: Vec<_> = shards.into_iter().map(Vec::into_iter).collect();
+    let workers = shards.len();
+    (0..items.len())
+        .map(|pos| {
+            shards[pos % workers]
+                .next()
+                .expect("every wave slot filled")
+        })
         .collect()
 }
 

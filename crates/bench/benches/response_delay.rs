@@ -5,11 +5,8 @@
 use criterion::{criterion_group, Criterion};
 use jgre_attack::AttackVector;
 use jgre_bench::{artifacts_enabled, write_artifact};
-use jgre_core::experiments::run_defended_attack;
-use jgre_core::{experiments, ExperimentScale};
+use jgre_core::{experiments, DefendedDevice, ExperimentScale};
 use jgre_corpus::spec::AospSpec;
-use jgre_defense::JgreDefender;
-use jgre_framework::{System, SystemConfig};
 
 fn generate_artifacts() {
     if !artifacts_enabled() {
@@ -51,15 +48,7 @@ fn bench_defended_attack(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("detect_and_recover_quick_scale", |b| {
         b.iter(|| {
-            let scale = ExperimentScale::quick();
-            let mut system = System::boot_with(SystemConfig {
-                seed: 5,
-                jgr_capacity: Some(scale.jgr_capacity),
-                ..SystemConfig::default()
-            });
-            let defender = JgreDefender::install(&mut system, scale.defender_config())
-                .expect("bench defender config is valid");
-            run_defended_attack(&mut system, &defender, &vector, 10_000)
+            DefendedDevice::boot(ExperimentScale::quick().with_seed(5)).grind(&vector, 10_000)
         });
     });
     group.finish();

@@ -8,12 +8,29 @@
 
 use std::rc::Rc;
 
+use jgre_attack::AttackVector;
 use jgre_corpus::spec::AospSpec;
 use jgre_defense::{DetectionOutcome, JgreDefender};
 use jgre_framework::{CallOptions, CallOutcome, FrameworkError, System};
 use jgre_sim::Uid;
 
 use crate::ExperimentScale;
+
+/// What one [`DefendedDevice::grind`] run produced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Grind {
+    /// IPC calls that reached the victim.
+    pub calls: u64,
+    /// Whether the victim survived (no abort).
+    pub victim_survived: bool,
+    /// Whether the attacker was among the apps this run's detections
+    /// killed.
+    pub attacker_killed: bool,
+    /// Virtual µs from attack start to the first alarm pickup.
+    pub detection_time_us: Option<u64>,
+    /// Virtual µs from attack start to victim abort.
+    pub exhaustion_time_us: Option<u64>,
+}
 
 /// A [`System`] with the JGRE Defender installed and auto-polled.
 ///
@@ -75,12 +92,64 @@ impl DefendedDevice {
     /// tables, installed apps — survives; the arena-reuse test in
     /// `crates/core/tests/device_reset.rs` pins that equivalence.
     pub fn reset(&mut self, scale: ExperimentScale) {
-        let spec = self.system.spec_shared();
-        let mut system = System::boot_with_spec(scale.system_config(), spec);
-        self.defender = JgreDefender::install(&mut system, scale.defender_config())
-            .expect("scale presets produce a valid defender config");
-        self.system = system;
-        self.detections.clear();
+        let mut detections = std::mem::take(&mut self.detections);
+        detections.clear();
+        *self = Self {
+            detections,
+            ..Self::boot_with_spec(scale, self.system.spec_shared())
+        };
+    }
+
+    /// Installs an attacker app for `vector` and grinds the vector until
+    /// the first new detection, a victim abort, or `budget` calls — the
+    /// defended-attack run behind §V-C, §V-D.1 and every fleet device.
+    /// Its detections are the tail of [`detections`](Self::detections).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a call fails for any reason other than the victim
+    /// service being dead or gone (catalog vectors are always callable).
+    pub fn grind(&mut self, vector: &AttackVector, budget: u64) -> Grind {
+        let attacker = self.system.install_app(
+            format!("com.malware.{}.{}", vector.service, vector.method),
+            vector.permissions.iter().copied(),
+        );
+        let started = self.system.now();
+        let seen = self.detections.len();
+        let mut calls = 0u64;
+        let mut exhaustion_time_us = None;
+        for _ in 0..budget {
+            let aborted = match self.call_service(
+                attacker,
+                &vector.service,
+                &vector.method,
+                vector.call_options(),
+            ) {
+                Ok(outcome) => {
+                    calls += 1;
+                    outcome.host_aborted
+                }
+                Err(FrameworkError::ServiceDead | FrameworkError::UnknownService(_)) => true,
+                Err(e) => panic!("defended attack on {}: {e}", vector.label()),
+            };
+            if aborted {
+                exhaustion_time_us = Some(self.system.now().saturating_since(started).as_micros());
+                break;
+            }
+            if self.detections.len() > seen {
+                break;
+            }
+        }
+        let raised = &self.detections[seen..];
+        Grind {
+            calls,
+            victim_survived: exhaustion_time_us.is_none(),
+            attacker_killed: raised.iter().any(|d| d.killed.contains(&attacker)),
+            detection_time_us: raised
+                .first()
+                .map(|d| d.detected_at.saturating_since(started).as_micros()),
+            exhaustion_time_us,
+        }
     }
 
     /// The underlying system.
@@ -119,9 +188,7 @@ impl DefendedDevice {
         options: CallOptions,
     ) -> Result<CallOutcome, FrameworkError> {
         let outcome = self.system.call_service(caller, service, method, options)?;
-        while let Some(detection) = self.defender.poll(&mut self.system) {
-            self.detections.push(detection);
-        }
+        self.poll();
         Ok(outcome)
     }
 
@@ -143,10 +210,15 @@ impl DefendedDevice {
         parcel: &mut jgre_binder::Parcel,
     ) -> Result<CallOutcome, FrameworkError> {
         let outcome = self.system.transact_raw(caller, service, code, parcel)?;
+        self.poll();
+        Ok(outcome)
+    }
+
+    /// Lets the defender react to every alarm raised so far.
+    fn poll(&mut self) {
         while let Some(detection) = self.defender.poll(&mut self.system) {
             self.detections.push(detection);
         }
-        Ok(outcome)
     }
 }
 

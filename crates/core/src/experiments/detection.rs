@@ -4,12 +4,12 @@ use std::fmt::Write as _;
 
 use jgre_attack::{run_interleaved, Actor, ActorKind, AttackVector};
 use jgre_corpus::spec::AospSpec;
-use jgre_defense::{DetectionOutcome, JgreDefender};
-use jgre_framework::{FrameworkError, System};
+use jgre_defense::DetectionOutcome;
 use jgre_sim::{SimDuration, Uid};
 use serde::{Deserialize, Serialize};
 
-use crate::ExperimentScale;
+use crate::fleet::DeviceArena;
+use crate::{DefendedDevice, ExperimentScale};
 
 /// Result of one defended attack run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -24,51 +24,6 @@ pub struct DefendedAttack {
     pub attacker_killed: bool,
 }
 
-/// Drives `vector` against a defended device, polling the defender after
-/// every call, until detection or `max_calls`.
-pub fn run_defended_attack(
-    system: &mut System,
-    defender: &JgreDefender,
-    vector: &AttackVector,
-    max_calls: u64,
-) -> DefendedAttack {
-    let mal = system.install_app(
-        format!("com.malware.{}.{}", vector.service, vector.method),
-        vector.permissions.iter().copied(),
-    );
-    let mut victim_survived = true;
-    let mut detection = None;
-    for _ in 0..max_calls {
-        match system.call_service(mal, &vector.service, &vector.method, vector.call_options()) {
-            Ok(o) => {
-                if o.host_aborted {
-                    victim_survived = false;
-                    break;
-                }
-            }
-            Err(FrameworkError::ServiceDead | FrameworkError::UnknownService(_)) => {
-                victim_survived = false;
-                break;
-            }
-            Err(e) => panic!("defended attack {}.{}: {e}", vector.service, vector.method),
-        }
-        if let Some(d) = defender.poll(system) {
-            detection = Some(d);
-            break;
-        }
-    }
-    let attacker_killed = detection
-        .as_ref()
-        .map(|d| d.killed.contains(&mal))
-        .unwrap_or(false);
-    DefendedAttack {
-        interface: format!("{}.{}", vector.service, vector.method),
-        victim_survived,
-        detection,
-        attacker_killed,
-    }
-}
-
 /// §V-C: the defense must stop all 57 identified attacks.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DefenseEffectiveness {
@@ -79,6 +34,24 @@ pub struct DefenseEffectiveness {
 }
 
 impl DefenseEffectiveness {
+    /// §V-D.1: the detection delay of every detected run, slowest first.
+    pub fn response_delay(&self) -> ResponseDelay {
+        let mut rows: Vec<ResponseDelayRow> = self
+            .runs
+            .iter()
+            .filter_map(|run| {
+                let d = run.detection.as_ref()?;
+                Some(ResponseDelayRow {
+                    interface: run.interface.clone(),
+                    response_delay_us: d.response_delay.as_micros(),
+                    rounds: d.rounds,
+                })
+            })
+            .collect();
+        rows.sort_by_key(|r| std::cmp::Reverse(r.response_delay_us));
+        ResponseDelay { rows }
+    }
+
     /// Plain-text summary.
     pub fn render(&self) -> String {
         let mut out = format!(
@@ -104,20 +77,20 @@ impl DefenseEffectiveness {
 
 /// Runs every one of the 57 vectors against a defended device.
 pub fn defense_effectiveness(scale: ExperimentScale) -> DefenseEffectiveness {
-    let spec = AospSpec::android_6_0_1();
-    let mut runs = Vec::new();
-    for vector in AttackVector::all_vectors(&spec) {
-        let mut system = System::boot_with(scale.system_config());
-        let defender = JgreDefender::install(&mut system, scale.defender_config())
-            .expect("scale presets produce a valid defender config");
-        let run = run_defended_attack(
-            &mut system,
-            &defender,
-            &vector,
-            scale.jgr_capacity as u64 * 4,
-        );
-        runs.push(run);
-    }
+    let mut arena = DeviceArena::new();
+    let runs: Vec<DefendedAttack> = AttackVector::all_vectors(arena.spec())
+        .iter()
+        .map(|vector| {
+            let device = arena.boot(scale);
+            let grind = device.grind(vector, scale.jgr_capacity as u64 * 4);
+            DefendedAttack {
+                interface: vector.label(),
+                victim_survived: grind.victim_survived,
+                detection: device.detections().first().cloned(),
+                attacker_killed: grind.attacker_killed,
+            }
+        })
+        .collect();
     let defended = runs
         .iter()
         .filter(|r| r.victim_survived && r.attacker_killed)
@@ -190,30 +163,10 @@ impl ResponseDelay {
     }
 }
 
-/// Measures the detection delay for every vector.
+/// Measures the detection delay for every vector: the §V-D.1 view of the
+/// [`defense_effectiveness`] runs.
 pub fn response_delay(scale: ExperimentScale) -> ResponseDelay {
-    let spec = AospSpec::android_6_0_1();
-    let mut rows = Vec::new();
-    for vector in AttackVector::all_vectors(&spec) {
-        let mut system = System::boot_with(scale.system_config());
-        let defender = JgreDefender::install(&mut system, scale.defender_config())
-            .expect("scale presets produce a valid defender config");
-        let run = run_defended_attack(
-            &mut system,
-            &defender,
-            &vector,
-            scale.jgr_capacity as u64 * 4,
-        );
-        if let Some(d) = run.detection {
-            rows.push(ResponseDelayRow {
-                interface: run.interface,
-                response_delay_us: d.response_delay.as_micros(),
-                rounds: d.rounds,
-            });
-        }
-    }
-    rows.sort_by_key(|r| std::cmp::Reverse(r.response_delay_us));
-    ResponseDelay { rows }
+    defense_effectiveness(scale).response_delay()
 }
 
 /// One Figure 8 point: attacker score vs the best benign score while that
@@ -271,16 +224,15 @@ impl Fig8 {
 /// against `benign_apps` chatty benign apps; the defender's scores are
 /// read at alarm time.
 pub fn fig8(scale: ExperimentScale, benign_apps: usize, vectors_limit: usize) -> Fig8 {
-    let spec = AospSpec::android_6_0_1();
+    let mut arena = DeviceArena::new();
     let mut rows = Vec::new();
-    for (index, vector) in AttackVector::service_vectors(&spec)
+    for (index, vector) in AttackVector::service_vectors(arena.spec())
         .into_iter()
         .take(vectors_limit)
         .enumerate()
     {
-        let mut system = System::boot_with(scale.system_config());
-        let defender = JgreDefender::install(&mut system, scale.defender_config())
-            .expect("scale presets produce a valid defender config");
+        let device = arena.boot(scale);
+        let system = device.system_mut();
         let mal = system.install_app("com.malware", vector.permissions.iter().copied());
         let mut actors = vec![Actor {
             uid: mal,
@@ -303,14 +255,15 @@ pub fn fig8(scale: ExperimentScale, benign_apps: usize, vectors_limit: usize) ->
         let mut scores = None;
         for _ in 0..10_000 {
             run_interleaved(
-                &mut system,
+                device.system_mut(),
                 actors.clone(),
                 SimDuration::from_millis(500),
                 scale.seed ^ index as u64,
                 true,
             );
+            let defender = device.defender();
             if !defender.monitor().alarmed_pids().is_empty() {
-                scores = defender.score_only(&system, victim, scale.default_delta());
+                scores = defender.score_only(device.system(), victim, scale.default_delta());
                 break;
             }
         }
@@ -332,7 +285,7 @@ pub fn fig8(scale: ExperimentScale, benign_apps: usize, vectors_limit: usize) ->
             .unwrap_or(0);
         rows.push(Fig8Row {
             index,
-            interface: format!("{}.{}", vector.service, vector.method),
+            interface: vector.label(),
             malicious_score,
             top_benign_score,
         });
@@ -421,9 +374,8 @@ pub fn fig9(scale: ExperimentScale) -> Fig9 {
         })
         .collect();
 
-    let mut system = System::boot_with(scale.system_config());
-    let defender = JgreDefender::install(&mut system, scale.defender_config())
-        .expect("scale presets produce a valid defender config");
+    let mut device = DefendedDevice::boot(scale);
+    let system = device.system_mut();
     let mut malicious = Vec::new();
     let mut actors = Vec::new();
     for (i, v) in vectors.iter().enumerate() {
@@ -444,19 +396,22 @@ pub fn fig9(scale: ExperimentScale) -> Fig9 {
     let victim = system.system_server_pid();
     for _ in 0..10_000 {
         run_interleaved(
-            &mut system,
+            device.system_mut(),
             actors.clone(),
             SimDuration::from_millis(500),
             scale.seed,
             true,
         );
-        if !defender.monitor().alarmed_pids().is_empty() {
+        if !device.defender().monitor().alarmed_pids().is_empty() {
             break;
         }
     }
     let mut rows = Vec::new();
     for &delta in &deltas_us {
-        if let Some(report) = defender.score_only(&system, victim, SimDuration::from_micros(delta))
+        let delta_window = SimDuration::from_micros(delta);
+        if let Some(report) = device
+            .defender()
+            .score_only(device.system(), victim, delta_window)
         {
             for s in &report.scores {
                 rows.push(Fig9Row {

@@ -19,8 +19,8 @@ pub use analysis::{
 pub use baseline::{fig4, Fig4};
 pub use chaos::{chaos_cell_ids, chaos_matrix, ChaosCell, ChaosMatrix, CHAOS_ATTACKS};
 pub use detection::{
-    defense_effectiveness, fig8, fig9, response_delay, run_defended_attack, DefendedAttack,
-    DefenseEffectiveness, Fig8, Fig8Row, Fig9, Fig9Row, ResponseDelay, ResponseDelayRow,
+    defense_effectiveness, fig8, fig9, response_delay, DefendedAttack, DefenseEffectiveness, Fig8,
+    Fig8Row, Fig9, Fig9Row, ResponseDelay, ResponseDelayRow,
 };
 pub use exhaustion::{fig3, fig5, fig6, Fig3, Fig3Series, Fig5, Fig6};
 pub use overhead::{fig10, Fig10, Fig10Row};

@@ -13,9 +13,10 @@
 //!    from [`stream_seed`]`(campaign_seed, i)`, so its run depends only on
 //!    the campaign seed and its id, never on the worker that executed it.
 //! 2. **Shard-count invariance** — devices are dealt round-robin to
-//!    workers (the `run_wave` pattern from the analysis scheduler) and
-//!    shard partials merge by commutative, associative addition, so the
-//!    summary is byte-identical for every `--threads` value.
+//!    workers ([`jgre_sim::round_robin`], the scheduler the analysis
+//!    waves and the fuzzer share) and shard partials merge by
+//!    commutative, associative addition, so the summary is
+//!    byte-identical for every `--threads` value.
 //! 3. **Arena reuse without state leaks** — each worker re-boots one
 //!    device slot in place between runs ([`DefendedDevice::reset`]),
 //!    sharing the immutable Android image across boots; the determinism
@@ -42,7 +43,6 @@ use std::rc::Rc;
 use jgre_attack::AttackVector;
 use jgre_corpus::spec::AospSpec;
 use jgre_defense::{DetectionOutcome, DetectionStats};
-use jgre_framework::FrameworkError;
 use jgre_sim::{stream_seed, Histogram};
 use serde::{Deserialize, Serialize};
 
@@ -366,6 +366,11 @@ impl DeviceArena {
         }
     }
 
+    /// The shared Android image every boot from this arena runs.
+    pub fn spec(&self) -> &AospSpec {
+        &self.spec
+    }
+
     /// Boots (or re-boots) the slot at `scale` and hands it out.
     pub fn boot(&mut self, scale: ExperimentScale) -> &mut DefendedDevice {
         match &mut self.slot {
@@ -387,10 +392,9 @@ impl Default for DeviceArena {
 /// Runs one device of a campaign on an arena slot.
 ///
 /// This is the exact per-device semantics of the fleet: boot at the
-/// derived seed, install the attacker, grind the vector until the first
-/// detection pass, a victim abort, or the call budget. The N=1
-/// equivalence test replays this against a hand-driven [`DefendedDevice`]
-/// to pin that the fleet adds nothing on top.
+/// derived seed, then [`DefendedDevice::grind`] the vector for the call
+/// budget. The N=1 equivalence test replays this against a hand-driven
+/// [`DefendedDevice`] to pin that the fleet adds nothing on top.
 pub fn run_device(
     arena: &mut DeviceArena,
     config: &FleetConfig,
@@ -401,51 +405,18 @@ pub fn run_device(
     let vector = &catalog[attack];
     let seed = stream_seed(config.campaign_seed, device_id);
     let device = arena.boot(config.scale.with_seed(seed));
-    let mal = device.system_mut().install_app(
-        format!("com.malware.{}.{}", vector.service, vector.method),
-        vector.permissions.iter().copied(),
-    );
-    let started = device.system().now();
-    let mut calls = 0u64;
-    let mut victim_survived = true;
-    let mut exhaustion_time_us = None;
-    for _ in 0..config.budget() {
-        match device.call_service(mal, &vector.service, &vector.method, vector.call_options()) {
-            Ok(outcome) => {
-                calls += 1;
-                if outcome.host_aborted {
-                    victim_survived = false;
-                }
-            }
-            Err(FrameworkError::ServiceDead | FrameworkError::UnknownService(_)) => {
-                victim_survived = false;
-            }
-            Err(e) => panic!("fleet device {device_id} on {}: {e}", vector.label()),
-        }
-        if !victim_survived {
-            exhaustion_time_us = Some(device.system().now().saturating_since(started).as_micros());
-            break;
-        }
-        if !device.detections().is_empty() {
-            break;
-        }
-    }
-    let detections = device.detections().to_vec();
-    let detection_time_us = detections
-        .first()
-        .map(|d| d.report().detected_at.saturating_since(started).as_micros());
-    let attacker_killed = detections.iter().any(|d| d.report().killed.contains(&mal));
+    let grind = device.grind(vector, config.budget());
     DeviceRun {
         device: device_id,
         seed,
         attack,
         interface: vector.label(),
-        calls,
-        victim_survived,
-        attacker_killed,
-        detections,
-        detection_time_us,
-        exhaustion_time_us,
+        calls: grind.calls,
+        victim_survived: grind.victim_survived,
+        attacker_killed: grind.attacker_killed,
+        detections: device.detections().to_vec(),
+        detection_time_us: grind.detection_time_us,
+        exhaustion_time_us: grind.exhaustion_time_us,
     }
 }
 
@@ -488,55 +459,28 @@ where
     F: Fn(&DeviceRun) + Sync,
 {
     let catalog = campaign_catalog(config);
-    let devices = config.devices;
-    let workers = config
-        .threads
-        .max(1)
-        .min(usize::try_from(devices).unwrap_or(usize::MAX))
-        .max(1);
-    if workers <= 1 {
+    let devices = usize::try_from(config.devices).expect("device count fits in usize");
+    // Worker t owns devices t, t+W, t+2W, … and folds its shard locally;
+    // partials merge at the end. Because per-device results depend only
+    // on (campaign_seed, id) and the merge is commutative, the summary is
+    // identical for every W.
+    let partials = jgre_sim::round_robin(devices, config.threads, |shard| {
         let mut arena = DeviceArena::new();
-        let mut summary = FleetSummary::empty(config, &catalog);
-        for device_id in 0..devices {
-            let run = run_device(&mut arena, config, &catalog, device_id);
+        let mut partial = FleetSummary::empty(config, &catalog);
+        for device_id in shard {
+            let run = run_device(&mut arena, config, &catalog, device_id as u64);
             observer(&run);
-            summary.absorb(&run);
+            partial.absorb(&run);
         }
-        return summary;
-    }
-    // The run_wave dealing pattern: worker t owns devices t, t+W, t+2W, …
-    // Each worker folds its shard locally; partials merge at the end.
-    // Because per-device results depend only on (campaign_seed, id) and
-    // the merge is commutative, the summary is identical for every W.
-    let catalog = &catalog;
-    let observer = &observer;
-    let mut partials: Vec<FleetSummary> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|t| {
-                scope.spawn(move || {
-                    let mut arena = DeviceArena::new();
-                    let mut partial = FleetSummary::empty(config, catalog);
-                    let mut device_id = t as u64;
-                    while device_id < devices {
-                        let run = run_device(&mut arena, config, catalog, device_id);
-                        observer(&run);
-                        partial.absorb(&run);
-                        device_id += workers as u64;
-                    }
-                    partial
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fleet worker panicked"))
-            .collect()
+        partial
     });
-    let mut summary = partials.remove(0);
-    for partial in &partials {
-        summary.merge(partial);
-    }
-    summary
+    partials
+        .into_iter()
+        .reduce(|mut summary, partial| {
+            summary.merge(&partial);
+            summary
+        })
+        .expect("the scheduler runs at least one worker")
 }
 
 #[cfg(test)]

@@ -54,7 +54,7 @@ pub mod fleet;
 mod scale;
 pub mod tap;
 
-pub use device::DefendedDevice;
+pub use device::{DefendedDevice, Grind};
 pub use fleet::{run_campaign, run_campaign_observed, FleetConfig, FleetSummary};
 pub use scale::ExperimentScale;
 pub use tap::{tap_attack_events, TappedStream};

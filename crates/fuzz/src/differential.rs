@@ -20,6 +20,7 @@
 use std::collections::BTreeSet;
 
 use jgre_analysis::{predicted_leaks, Diagnostic};
+use jgre_core::fleet::DeviceArena;
 use jgre_core::ExperimentScale;
 use serde::{Deserialize, Serialize};
 
@@ -152,9 +153,9 @@ impl FuzzArtifact {
 }
 
 /// Cross-checks a fuzz report against the lint diagnostics. Lint-only
-/// pairs are replayed dynamically on a device booted at
-/// `scale.with_seed(seed)`; everything is deterministic given the
-/// inputs.
+/// pairs are replayed dynamically on devices booted from one
+/// [`DeviceArena`] at `scale.with_seed(seed)`; everything is
+/// deterministic given the inputs.
 pub fn differential(
     fuzz: &FuzzReport,
     diagnostics: &[Diagnostic],
@@ -186,10 +187,11 @@ pub fn differential(
             minimized: f.minimized.clone(),
         })
         .collect();
+    let mut arena = DeviceArena::new();
     let lint_only = lint
         .difference(&dynamic)
         .map(|(s, m)| {
-            let growth = replay_probe(s, m, scale, seed).unwrap_or(0);
+            let growth = replay_probe(&mut arena, s, m, scale.with_seed(seed)).unwrap_or(0);
             LintOnlyFinding {
                 service: s.clone(),
                 method: m.clone(),

@@ -7,9 +7,10 @@
 //! from `SimRng::stream(seed, STREAM_BASE + s)` and boots every trial
 //! device at `stream_seed(seed, trial_stream(s, seq))`, so a shard's
 //! results depend only on `(seed, s)`. Worker threads deal shards
-//! round-robin (the fleet's `run_wave` pattern) and the merge folds
-//! shards in index order, so the report is byte-identical for every
-//! `--threads` value.
+//! round-robin ([`jgre_sim::round_robin`]), every merged counter adds
+//! commutatively, and findings are sorted by `(service, method,
+//! signature)`, so the report is byte-identical for every `--threads`
+//! value.
 //!
 //! # The leak oracle
 //!
@@ -28,7 +29,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use jgre_binder::{NodeId, Parcel};
 use jgre_core::fleet::DeviceArena;
 use jgre_core::{DefendedDevice, ExperimentScale};
-use jgre_corpus::spec::{AospSpec, MethodSpec, Permission, Protection, ProtectionLevel};
+use jgre_corpus::spec::{
+    AospSpec, MethodSpec, Permission, Protection, ProtectionLevel, ServiceSpec,
+};
 use jgre_framework::{CallOutcome, CallStatus, FrameworkError};
 use jgre_sim::{stream_seed, SimRng, Uid};
 
@@ -149,21 +152,36 @@ struct ServicePlan {
     exec_offset: u64,
 }
 
+/// Every exported service on the image with its host kind: system
+/// services, then prebuilt-app services.
+fn surface(spec: &AospSpec) -> impl Iterator<Item = (&'static str, &ServiceSpec)> {
+    let system = spec.services.iter().map(|svc| ("system", svc));
+    let apps = spec
+        .prebuilt_apps
+        .iter()
+        .flat_map(|app| app.services.iter());
+    system.chain(apps.map(|svc| ("app", svc)))
+}
+
+/// The permissions a fuzz app requests up front for `svc`: every
+/// manifest-level requirement a third-party app can be granted.
+fn grantable(svc: &ServiceSpec) -> Vec<Permission> {
+    let grantable: BTreeSet<Permission> = svc
+        .methods
+        .iter()
+        .filter_map(|m| m.permission)
+        .filter(|p| p.level() != ProtectionLevel::Signature)
+        .collect();
+    grantable.into_iter().collect()
+}
+
 /// Builds the shard plan from the public surface of the image: service
 /// names, method tables in transaction-code order, and manifest-level
 /// permission requirements. No retention behaviour, protection
 /// soundness, or flaw information flows in — discovery stays dynamic.
 fn build_plan(config: &FuzzConfig) -> Vec<ServicePlan> {
     let spec = AospSpec::android_6_0_1();
-    let mut surface: Vec<(&'static str, &jgre_corpus::spec::ServiceSpec)> = Vec::new();
-    for svc in &spec.services {
-        surface.push(("system", svc));
-    }
-    for app in &spec.prebuilt_apps {
-        for svc in &app.services {
-            surface.push(("app", svc));
-        }
-    }
+    let mut surface: Vec<(&'static str, &ServiceSpec)> = surface(&spec).collect();
     surface.sort_by(|a, b| a.1.name.cmp(&b.1.name));
     let mut plans: Vec<ServicePlan> = surface
         .into_iter()
@@ -185,17 +203,11 @@ fn build_plan(config: &FuzzConfig) -> Vec<ServicePlan> {
             if methods.is_empty() {
                 return None;
             }
-            let grantable: BTreeSet<Permission> = svc
-                .methods
-                .iter()
-                .filter_map(|m| m.permission)
-                .filter(|p| p.level() != ProtectionLevel::Signature)
-                .collect();
             Some(ServicePlan {
                 name: svc.name.clone(),
                 host,
                 methods,
-                grantable: grantable.into_iter().collect(),
+                grantable: grantable(svc),
                 budget: 0,
                 exec_offset: 0,
             })
@@ -228,7 +240,7 @@ fn build_plan(config: &FuzzConfig) -> Vec<ServicePlan> {
     plans
 }
 
-/// Everything one shard produced; merged in shard order.
+/// Everything one shard (or one worker's run of shards) produced.
 #[derive(Default)]
 struct ShardOutcome {
     edges: BTreeSet<(String, String, String)>,
@@ -240,6 +252,39 @@ struct ShardOutcome {
     minimize_execs: u64,
     host_aborts: u64,
     detections: u64,
+}
+
+impl ShardOutcome {
+    /// Counts one exec that ended in `label` on `(service, method)`;
+    /// returns whether that outcome edge is new coverage.
+    fn record(&mut self, service: &str, method: &str, label: &str) -> bool {
+        self.execs += 1;
+        *self.outcomes.entry(label.to_owned()).or_insert(0) += 1;
+        if label == "completed" || label == "completed-abort" {
+            self.completed
+                .insert((service.to_owned(), method.to_owned()));
+        }
+        self.edges
+            .insert((service.to_owned(), method.to_owned(), label.to_owned()))
+    }
+
+    /// Adds `other` into `self`. Counters and coverage sets add
+    /// commutatively; findings append, and the report sorts them.
+    fn merge(&mut self, other: ShardOutcome) {
+        self.edges.extend(other.edges);
+        self.completed.extend(other.completed);
+        for (label, count) in other.outcomes {
+            *self.outcomes.entry(label).or_insert(0) += count;
+        }
+        for (reason, count) in other.rejects {
+            *self.rejects.entry(reason).or_insert(0) += count;
+        }
+        self.findings.extend(other.findings);
+        self.execs += other.execs;
+        self.minimize_execs += other.minimize_execs;
+        self.host_aborts += other.host_aborts;
+        self.detections += other.detections;
+    }
 }
 
 /// One probe/minimization trial on a freshly booted device.
@@ -327,34 +372,31 @@ fn exec_once(
     device.transact_raw(app, service, input.code, &mut parcel)
 }
 
-/// Boots a fresh device, installs a fresh fuzz app, replays `input`, and
-/// reads the GC-surviving JGR growth of the service host.
-fn run_trial(
+/// The leak probe (§IV-C): boots a device from `arena` at `scale`,
+/// installs a fresh fuzz app, replays `input`, and reads the GC-surviving
+/// JGR growth of the service host.
+fn probe(
     arena: &mut DeviceArena,
-    config: &FuzzConfig,
-    plan: &ServicePlan,
+    scale: ExperimentScale,
+    service: &str,
+    grantable: &[Permission],
     input: &FuzzInput,
-    shard: usize,
-    trial_seq: &mut u64,
 ) -> Trial {
-    let seed = stream_seed(config.seed, trial_stream(shard, *trial_seq));
-    *trial_seq += 1;
-    let device = arena.boot(config.scale.with_seed(seed));
-    let app = device.system_mut().install_app(
-        format!("com.fuzz.{}", plan.name),
-        plan.grantable.iter().copied(),
-    );
+    let device = arena.boot(scale);
+    let app = device
+        .system_mut()
+        .install_app(format!("com.fuzz.{service}"), grantable.iter().copied());
     let host = device
         .system()
-        .service_info(&plan.name)
-        .expect("plan services exist on the booted image")
+        .service_info(service)
+        .expect("surface services exist on the booted image")
         .host;
     device.system_mut().gc_process(host);
     let before = device.system().jgr_count(host).unwrap_or(0);
     let mut outcomes = Vec::with_capacity(input.calls as usize);
     let mut aborts = 0u64;
     for _ in 0..input.calls {
-        let result = exec_once(device, app, &plan.name, input);
+        let result = exec_once(device, app, service, input);
         if matches!(&result, Ok(o) if o.host_aborted) {
             aborts += 1;
         }
@@ -364,7 +406,7 @@ fn run_trial(
     // the service re-registers under a new pid.
     let host = device
         .system()
-        .service_info(&plan.name)
+        .service_info(service)
         .map_or(host, |info| info.host);
     device.system_mut().gc_process(host);
     let after = device.system().jgr_count(host).unwrap_or(0);
@@ -382,20 +424,34 @@ fn run_trial(
     }
 }
 
+/// Runs `input` as the next trial of shard `shard` through [`probe`], on
+/// a device seeded from the shard's trial stream.
+fn run_trial(
+    arena: &mut DeviceArena,
+    config: &FuzzConfig,
+    plan: &ServicePlan,
+    input: &FuzzInput,
+    shard: usize,
+    trial_seq: &mut u64,
+) -> Trial {
+    let seed = stream_seed(config.seed, trial_stream(shard, *trial_seq));
+    *trial_seq += 1;
+    probe(
+        arena,
+        config.scale.with_seed(seed),
+        &plan.name,
+        &plan.grantable,
+        input,
+    )
+}
+
 fn absorb_trial(out: &mut ShardOutcome, service: &str, method: &str, trial: &Trial) {
     for label in &trial.outcomes {
-        *out.outcomes.entry(label.clone()).or_insert(0) += 1;
-        out.edges
-            .insert((service.to_owned(), method.to_owned(), label.clone()));
-        if label == "completed" || label == "completed-abort" {
-            out.completed
-                .insert((service.to_owned(), method.to_owned()));
-        }
+        out.record(service, method, label);
     }
     for (reason, count) in &trial.rejects {
         *out.rejects.entry(reason.clone()).or_insert(0) += count;
     }
-    out.execs += trial.outcomes.len() as u64;
     out.host_aborts += trial.aborts;
     out.detections += trial.detections;
 }
@@ -577,15 +633,7 @@ fn fuzz_service(
                 .system()
                 .method_for_code(&plan.name, input.code)
                 .map_or_else(|| format!("#{}", input.code), str::to_owned);
-            let label = outcome_label(&result);
-            let mut interesting =
-                out.edges
-                    .insert((plan.name.clone(), method_label.clone(), label.clone()));
-            *out.outcomes.entry(label.clone()).or_insert(0) += 1;
-            if label == "completed" || label == "completed-abort" {
-                out.completed.insert((plan.name.clone(), method_label));
-            }
-            out.execs += 1;
+            let mut interesting = out.record(&plan.name, &method_label, &outcome_label(&result));
             if let Ok(o) = &result {
                 if o.host_aborted {
                     out.host_aborts += 1;
@@ -608,115 +656,42 @@ fn fuzz_service(
 }
 
 /// Replays a single well-formed leak probe against one
-/// `(service, method)` pair on a freshly booted device and returns the
-/// GC-surviving JGR growth, or `None` if the pair does not exist on the
-/// image. The differential stage uses this to dynamically confirm or
-/// refute lint-only predictions.
-pub fn replay_probe(
+/// `(service, method)` pair on a device booted from `arena` at `scale`
+/// and returns the GC-surviving JGR growth, or `None` if the pair does
+/// not exist on the arena's image. The differential stage uses this to
+/// dynamically confirm or refute lint-only predictions.
+pub(crate) fn replay_probe(
+    arena: &mut DeviceArena,
     service: &str,
     method: &str,
     scale: ExperimentScale,
-    seed: u64,
 ) -> Option<usize> {
-    let spec = AospSpec::android_6_0_1();
-    let svc = spec
-        .services
-        .iter()
-        .chain(spec.prebuilt_apps.iter().flat_map(|a| a.services.iter()))
-        .find(|s| s.name == service)?;
+    let (_, svc) = surface(arena.spec()).find(|(_, s)| s.name == service)?;
     let idx = svc.methods.iter().position(|m| m.name == method)?;
-    let code = idx as u32 + jgre_framework::FIRST_CALL_TRANSACTION;
-    let grantable: BTreeSet<Permission> = svc
-        .methods
-        .iter()
-        .filter_map(|m| m.permission)
-        .filter(|p| p.level() != ProtectionLevel::Signature)
-        .collect();
-    let mut device = DefendedDevice::boot(scale.with_seed(seed));
-    let app = device
-        .system_mut()
-        .install_app(format!("com.fuzz.replay.{service}"), grantable);
-    let host = device.system().service_info(service)?.host;
-    device.system_mut().gc_process(host);
-    let before = device.system().jgr_count(host).unwrap_or(0);
-    let mut input = FuzzInput::well_formed(code);
+    let grantable = grantable(svc);
+    let mut input = FuzzInput::well_formed(idx as u32 + jgre_framework::FIRST_CALL_TRANSACTION);
     input.calls = PROBE_CALLS;
-    for _ in 0..input.calls {
-        let _ = exec_once(&mut device, app, service, &input);
-    }
-    let host = device
-        .system()
-        .service_info(service)
-        .map_or(host, |info| info.host);
-    device.system_mut().gc_process(host);
-    let after = device.system().jgr_count(host).unwrap_or(0);
-    Some(after.saturating_sub(before))
+    Some(probe(arena, scale, service, &grantable, &input).growth)
 }
 
 /// Runs the whole campaign and folds the shards into a deterministic
 /// [`FuzzReport`] — byte-identical for every `threads` value.
 pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
     let plans = build_plan(config);
-    let workers = config.threads.max(1).min(plans.len().max(1));
-    let mut shard_outcomes: Vec<(usize, ShardOutcome)> = if workers <= 1 {
+    // Worker t folds shards t, t+W, …; every counter adds and the
+    // findings are sorted below, so the report is the same for every W.
+    let mut total = ShardOutcome::default();
+    for partial in jgre_sim::round_robin(plans.len(), config.threads, |shards| {
         let mut arena = DeviceArena::new();
-        plans
-            .iter()
-            .enumerate()
-            .map(|(s, plan)| (s, fuzz_service(&mut arena, config, plan, s)))
-            .collect()
-    } else {
-        let plans_ref = &plans;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|t| {
-                    scope.spawn(move || {
-                        let mut arena = DeviceArena::new();
-                        let mut partial = Vec::new();
-                        let mut shard = t;
-                        while shard < plans_ref.len() {
-                            partial.push((
-                                shard,
-                                fuzz_service(&mut arena, config, &plans_ref[shard], shard),
-                            ));
-                            shard += workers;
-                        }
-                        partial
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("fuzz worker panicked"))
-                .collect()
-        })
-    };
-    shard_outcomes.sort_by_key(|(s, _)| *s);
-
-    let mut edges = BTreeSet::new();
-    let mut completed = BTreeSet::new();
-    let mut outcomes = BTreeMap::new();
-    let mut rejects = BTreeMap::new();
-    let mut findings = Vec::new();
-    let mut execs = 0u64;
-    let mut minimize_execs = 0u64;
-    let mut host_aborts = 0u64;
-    let mut detections = 0u64;
-    for (_, shard) in shard_outcomes {
-        edges.extend(shard.edges);
-        completed.extend(shard.completed);
-        for (label, count) in shard.outcomes {
-            *outcomes.entry(label).or_insert(0) += count;
+        let mut partial = ShardOutcome::default();
+        for s in shards {
+            partial.merge(fuzz_service(&mut arena, config, &plans[s], s));
         }
-        for (reason, count) in shard.rejects {
-            *rejects.entry(reason).or_insert(0) += count;
-        }
-        findings.extend(shard.findings);
-        execs += shard.execs;
-        minimize_execs += shard.minimize_execs;
-        host_aborts += shard.host_aborts;
-        detections += shard.detections;
+        partial
+    }) {
+        total.merge(partial);
     }
+    let mut findings = total.findings;
     findings.sort_by(|a, b| {
         (&a.service, &a.method, a.signature).cmp(&(&b.service, &b.method, b.signature))
     });
@@ -728,17 +703,17 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
         attack_surface: config.attack_surface.label().to_owned(),
         services: plans.len(),
         methods: pairs,
-        execs,
-        minimize_execs,
+        execs: total.execs,
+        minimize_execs: total.minimize_execs,
         coverage: CoverageSummary {
-            edges: edges.len(),
-            completed_pairs: completed.len(),
+            edges: total.edges.len(),
+            completed_pairs: total.completed.len(),
             pairs,
-            outcomes,
+            outcomes: total.outcomes,
         },
-        rejects,
-        host_aborts,
-        detections,
+        rejects: total.rejects,
+        host_aborts: total.host_aborts,
+        detections: total.detections,
         execs_to_first_leak,
         findings,
     }

@@ -35,8 +35,6 @@ pub mod report;
 pub use differential::{
     differential, AgreedFinding, DifferentialReport, FuzzArtifact, FuzzOnlyFinding, LintOnlyFinding,
 };
-pub use engine::{
-    replay_probe, run_fuzz, AttackSurface, FuzzConfig, LEAK_THRESHOLD, PROBE_CALLS, SOUND_CAP_MAX,
-};
+pub use engine::{run_fuzz, AttackSurface, FuzzConfig, LEAK_THRESHOLD, PROBE_CALLS, SOUND_CAP_MAX};
 pub use input::{FuzzInput, ParcelOp};
 pub use report::{CoverageSummary, Finding, FuzzReport, LeakSignature, MinimizedRepro};

@@ -19,6 +19,8 @@
 //! * [`framed`] — the one framed-record codec (magic + version header,
 //!   length-prefixed FNV-1a-checksummed frames) behind the defender's
 //!   journal, its checkpoints and the serve stream.
+//! * [`round_robin`] — the one worker scheduler: item indices dealt
+//!   round-robin to scoped threads, inline when one worker suffices.
 //!
 //! # Example
 //!
@@ -41,6 +43,7 @@ mod fault;
 pub mod framed;
 mod ids;
 mod rng;
+mod sched;
 pub mod source;
 mod stats;
 mod trace;
@@ -53,5 +56,6 @@ pub use fault::{
 };
 pub use ids::{Pid, Tid, Uid};
 pub use rng::{stream_seed, SimRng};
+pub use sched::round_robin;
 pub use stats::{Histogram, Samples, Summary, HISTOGRAM_BINS};
 pub use trace::{TraceEvent, TraceSink};

@@ -124,14 +124,26 @@ struct Options {
     attack_surface: jgre_fuzz::AttackSurface,
 }
 
+/// Writes one block of command output to stdout — the only way output
+/// reaches it. A reader that hung up early (`jgre … | head`) ends the
+/// process cleanly instead of panicking on the broken pipe.
+fn say(text: impl std::fmt::Display) {
+    use std::io::Write as _;
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = writeln!(stdout, "{text}").and_then(|()| stdout.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("writing stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn emit<T: serde::Serialize>(options: &Options, data: &T, rendered: String) {
     if options.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(data).expect("experiment structs serialise")
-        );
+        say(serde_json::to_string_pretty(data).expect("experiment structs serialise"));
     } else {
-        println!("{rendered}");
+        say(rendered);
     }
 }
 
@@ -217,7 +229,7 @@ fn run(command: &str, options: &Options) -> Result<(), String> {
             } else {
                 serde_json::to_string_pretty(&report.to_sarif(&model)).expect("SARIF serialises")
             };
-            println!("{rendered}");
+            say(rendered);
             // The solver/cache footer goes to stderr so stdout stays
             // pure JSON for downstream SARIF consumers.
             eprintln!(
@@ -235,7 +247,7 @@ fn run(command: &str, options: &Options) -> Result<(), String> {
         "chaos" => {
             if options.list_cells {
                 for id in experiments::chaos_cell_ids(options.fault) {
-                    println!("{id}");
+                    say(id);
                 }
                 return Ok(());
             }
@@ -568,7 +580,7 @@ fn main() -> ExitCode {
                 }
             },
             "--help" | "-h" => {
-                println!("{USAGE}");
+                say(USAGE);
                 return ExitCode::SUCCESS;
             }
             cmd if command.is_none() && !cmd.starts_with('-') => {

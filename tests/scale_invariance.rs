@@ -5,7 +5,7 @@
 use jgre_repro::core::attack::{run_exhaustion_attack, AttackVector};
 use jgre_repro::core::corpus::spec::AospSpec;
 use jgre_repro::core::framework::{System, SystemConfig};
-use jgre_repro::core::{experiments, ExperimentScale};
+use jgre_repro::core::{experiments, DefendedDevice, ExperimentScale};
 
 fn scale(capacity: usize) -> ExperimentScale {
     ExperimentScale {
@@ -72,20 +72,11 @@ fn defense_works_at_multiple_scales() {
                 .into_iter()
                 .find(|v| v.service == pick)
                 .unwrap_or_else(|| panic!("{pick} has a vector"));
-            let mut system = System::boot_with(s.system_config());
-            let defender =
-                jgre_repro::core::defense::JgreDefender::install(&mut system, s.defender_config())
-                    .expect("defender config is valid");
-            let run = experiments::run_defended_attack(
-                &mut system,
-                &defender,
-                &vector,
-                capacity as u64 * 4,
-            );
+            let run = DefendedDevice::boot(s).grind(&vector, capacity as u64 * 4);
             assert!(
                 run.victim_survived && run.attacker_killed,
                 "cap {capacity}: {} not defended",
-                run.interface
+                vector.label()
             );
         }
     }
