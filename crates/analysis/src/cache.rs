@@ -1,17 +1,10 @@
-//! On-disk summary cache for the incremental leak-check engine.
+//! On-disk summary cache for the leak-check engine.
 //!
-//! One file (`summaries.bin`) holds two tiers:
-//!
-//! * **Tier A** — the whole-corpus summary table, keyed by the corpus
-//!   fingerprint in the header. A warm re-lint of an unchanged tree
-//!   decodes this tier directly (raw `MethodId`s, no string remapping,
-//!   no call-graph condensation) — the fast path the ≥10x target rests
-//!   on.
-//! * **Tier B** — one record per call-graph SCC, keyed by the SCC key
-//!   (member fact fingerprints + external callee summary fingerprints).
-//!   Records reference methods by `(class, name)` so they survive
-//!   `MethodId` renumbering; an edit invalidates exactly the
-//!   condensation cone above it.
+//! One file (`summaries.bin`) holds the whole-corpus summary table
+//! (Tier A), keyed by the corpus fingerprint in the header. A re-lint
+//! of an unchanged tree decodes it directly (raw `MethodId`s, no
+//! call-graph condensation) — the fast path the ≥10x target rests on.
+//! Any other corpus is re-solved whole and the table rewritten.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -23,31 +16,37 @@
 //! tier_a_len u32
 //! tier_a_payload [u8; tier_a_len]
 //! tier_a_checksum u64                             StableHasher of the payload
-//! repeated until EOF:
+//! repeated until EOF (record region):
 //!   key u64 | len u32 | payload [u8; len] | checksum u64
 //! ```
 //!
+//! The engine writes the record region empty. Files from the era of
+//! per-SCC records carry them there; [`load`] still checks their
+//! framing and checksums and hands them back as
+//! [`LoadedCache::tier_b`], but nothing consumes them, and the next
+//! rewrite drops them.
+//!
 //! Every reader treats the file as untrusted input: a bad magic or
 //! version rejects the whole file, a bad Tier A checksum stops parsing
-//! (the framing can no longer be trusted), a truncated or corrupt Tier B
+//! (the framing can no longer be trusted), a truncated or corrupt
 //! record is skipped — each rejection increments the `invalidated`
 //! counter, records a typed [`RejectReason`], and the engine recomputes,
 //! never panics.
 //!
-//! **Schema-version bump rule:** any change to the payload encodings,
-//! the fingerprint recipes they key on, or the summary semantics they
-//! capture must bump [`SCHEMA_VERSION`] so stale files self-invalidate.
+//! **Schema-version bump rule:** any change to the Tier A encoding, the
+//! corpus-fingerprint recipe it keys on, or the summary semantics it
+//! captures must bump [`SCHEMA_VERSION`] so stale files self-invalidate.
 //! Version 3 added the per-site predicate byte ([`PredSet`]) to every
 //! fate encoding; files written by the boolean-guard era (version 2) are
 //! rejected whole as [`RejectReason::StaleSchema`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::Path;
 
 use jgre_corpus::body::AllocSite;
-use jgre_corpus::{CodeModel, MethodId};
+use jgre_corpus::MethodId;
 
 use crate::ir::StableHasher;
 use crate::leakcheck::{EscapeKind, MethodSummary, PredSet, Retention, SiteSummary};
@@ -85,10 +84,6 @@ impl Enc {
     fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
 }
 
 /// Cursor over untrusted bytes; every read is bounds-checked.
@@ -117,10 +112,6 @@ impl<'a> Dec<'a> {
     fn u64(&mut self) -> Option<u64> {
         self.take(8)
             .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-    }
-    fn str_ref(&mut self) -> Option<&'a str> {
-        let len = self.u32()? as usize;
-        std::str::from_utf8(self.take(len)?).ok()
     }
     fn done(&self) -> bool {
         self.pos == self.buf.len()
@@ -247,123 +238,6 @@ pub fn decode_tier_a(bytes: &[u8], method_count: usize) -> Option<Vec<MethodSumm
     d.done().then_some(out)
 }
 
-fn enc_member(e: &mut Enc, model: &CodeModel, id: MethodId, summary: &MethodSummary) {
-    let def = model.method(id);
-    e.str(&def.class);
-    e.str(&def.name);
-    e.u8(u8::from(summary.saw_handler));
-    e.u32(summary.sites.len() as u32);
-    for site in &summary.sites {
-        let origin = model.method(site.method);
-        e.str(&origin.class);
-        e.str(&origin.name);
-        enc_site_shape(e, site.site);
-        enc_fate(e, site);
-    }
-}
-
-/// Encodes one SCC's summaries as a portable Tier B record.
-pub fn encode_record(model: &CodeModel, members: &[(MethodId, &MethodSummary)]) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.u32(members.len() as u32);
-    for (id, summary) in members {
-        enc_member(&mut e, model, *id, summary);
-    }
-    e.buf
-}
-
-/// Decodes a Tier B record and remaps its `(class, name)` references
-/// onto the current corpus, in one pass over the bytes without
-/// allocating intermediate strings (the edit path remaps thousands of
-/// hit records, so this is hot). Returns `None` when the record does
-/// not map cleanly onto `scc`: wrong member count, a name the index
-/// cannot resolve, or a member outside the SCC.
-pub fn remap_record(
-    bytes: &[u8],
-    scc: &[MethodId],
-    name_index: &HashMap<(&str, &str), MethodId>,
-) -> Option<Vec<(MethodId, MethodSummary)>> {
-    let mut d = Dec::new(bytes);
-    let n = d.u32()? as usize;
-    if n != scc.len() {
-        return None;
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let class = d.str_ref()?;
-        let name = d.str_ref()?;
-        let id = *name_index.get(&(class, name))?;
-        if scc.binary_search(&id).is_err() {
-            return None;
-        }
-        let saw_handler = d.u8()? != 0;
-        let nsites = d.u32()? as usize;
-        let mut sites = Vec::with_capacity(nsites.min(1024));
-        for _ in 0..nsites {
-            let site_class = d.str_ref()?;
-            let site_name = d.str_ref()?;
-            let method = *name_index.get(&(site_class, site_name))?;
-            let site = dec_site_shape(&mut d)?;
-            let (fate, escape, read_only_key, preds) = dec_fate(&mut d)?;
-            sites.push(SiteSummary {
-                method,
-                site,
-                fate,
-                escape,
-                read_only_key,
-                preds,
-            });
-        }
-        // Recomputed summaries come out of a BTreeMap keyed on
-        // (method, site); restore that canonical order in case the
-        // stored corpus numbered its methods differently.
-        sites.sort_by_key(|a| (a.method, a.site));
-        out.push((id, MethodSummary { sites, saw_handler }));
-    }
-    d.done().then_some(out)
-}
-
-/// Stable fingerprint of one method's *summary* — the "callee summary
-/// fingerprint" half of an SCC key. Mirrors the portable member fields
-/// (names, not `MethodId`s), streamed straight into the hasher: it runs
-/// once per method on every caching run, so no intermediate buffer.
-pub fn summary_fingerprint(model: &CodeModel, id: MethodId, summary: &MethodSummary) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_u64(0x4a47_5245_534d_4631); // "JGRESMF1": summary-recipe tag
-    let def = model.method(id);
-    h.write_str(&def.class);
-    h.write_str(&def.name);
-    h.write_u8(u8::from(summary.saw_handler));
-    h.write_u32(summary.sites.len() as u32);
-    for site in &summary.sites {
-        let origin = model.method(site.method);
-        h.write_str(&origin.class);
-        h.write_str(&origin.name);
-        let (tag, idx) = match site.site {
-            AllocSite::BinderParam(i) => (0u8, i as u32),
-            AllocSite::DeathRecipient => (1, 0),
-            AllocSite::ThreadPeer => (2, 0),
-            AllocSite::ParcelStrongBinder => (3, 0),
-        };
-        h.write_u8(tag);
-        h.write_u32(idx);
-        h.write_u8(match site.fate {
-            Retention::Released => 0,
-            Retention::Bounded => 1,
-            Retention::Unbounded => 2,
-        });
-        h.write_u8(match site.escape {
-            None => 0,
-            Some(EscapeKind::ScalarReplace) => 1,
-            Some(EscapeKind::BoundedCollection) => 2,
-            Some(EscapeKind::UnboundedCollection) => 3,
-        });
-        h.write_u8(u8::from(site.read_only_key));
-        h.write_u8(site.preds.bits());
-    }
-    h.finish()
-}
-
 // ------------------------------------------------------------------
 // File load/store
 // ------------------------------------------------------------------
@@ -401,10 +275,10 @@ pub struct LoadedCache {
     /// SCC count recorded beside Tier A (reported as hits on a full
     /// Tier A hit).
     pub scc_count: u32,
-    /// Raw Tier B record payloads by SCC key (checksums verified;
-    /// decode on use). Left empty on a clean Tier A hit: the records
-    /// would never be consulted, so the warm path skips verifying and
-    /// copying them.
+    /// Raw payloads of the record region by key (checksums verified).
+    /// The engine writes none and reads none; they are returned only
+    /// on a Tier A miss or a repair, so the warm path skips verifying
+    /// and copying them.
     pub tier_b: BTreeMap<u64, Vec<u8>>,
     /// Corrupt or stale parts rejected while loading.
     pub invalidated: u64,
@@ -454,7 +328,7 @@ pub fn load(path: &Path, expected_fp: u64, method_count: usize) -> LoadedCache {
     };
     if checksum(tier_a_payload) != tier_a_sum {
         // The length field itself is no longer trustworthy, so neither
-        // is any Tier B framing after it: stop here.
+        // is any record framing after it: stop here.
         out.rejected(RejectReason::Corrupt);
         return out;
     }
@@ -464,11 +338,10 @@ pub fn load(path: &Path, expected_fp: u64, method_count: usize) -> LoadedCache {
             None => out.rejected(RejectReason::MalformedPayload),
         }
     }
-    // Walk the Tier B framing (cheap pointer arithmetic) so truncation
+    // Walk the record framing (cheap pointer arithmetic) so truncation
     // is always detected, but defer the checksums: on a clean Tier A
-    // hit the records are never consulted and verifying megabytes of
-    // payload would dominate the warm path. Checksums run only when the
-    // records will be used (Tier A miss) or rewritten (repair).
+    // hit verifying a legacy record region would dominate the warm
+    // path.
     let mut frames: Vec<(u64, &[u8], u64)> = Vec::new();
     while !d.done() {
         let (Some(key), Some(len)) = (d.u64(), d.u32()) else {
@@ -499,9 +372,9 @@ pub fn load(path: &Path, expected_fp: u64, method_count: usize) -> LoadedCache {
     out
 }
 
-/// Atomically writes the cache file (temp file + rename). Tier B
-/// records are emitted in key order so identical logical contents
-/// produce identical bytes.
+/// Atomically writes the cache file (temp file + rename). Records are
+/// emitted in key order so identical logical contents produce
+/// identical bytes; the engine always passes none.
 pub fn store(
     path: &Path,
     corpus_fp: u64,
@@ -537,6 +410,7 @@ pub fn store(
 mod tests {
     use super::*;
     use jgre_corpus::spec::AospSpec;
+    use jgre_corpus::CodeModel;
     use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -557,28 +431,6 @@ mod tests {
         assert_eq!(decoded, ordered);
         // The wrong method count must reject the table.
         assert!(decode_tier_a(&bytes, model.methods.len() + 1).is_none());
-    }
-
-    #[test]
-    fn record_roundtrips_by_name() {
-        let model = CodeModel::synthesize(&AospSpec::android_6_0_1());
-        let analysis = crate::leakcheck::LeakChecker::new(&model).analyze();
-        let rcl = model
-            .find_method("android.os.RemoteCallbackList", "register")
-            .unwrap();
-        let summary = &analysis.summaries[&rcl];
-        let bytes = encode_record(&model, &[(rcl, summary)]);
-        let name_index: HashMap<(&str, &str), MethodId> = model
-            .methods
-            .iter()
-            .map(|d| ((d.class.as_str(), d.name.as_str()), d.id))
-            .collect();
-        let members = remap_record(&bytes, &[rcl], &name_index).expect("clean roundtrip");
-        assert_eq!(members, vec![(rcl, summary.clone())]);
-        // Truncated record bytes must be rejected, not mis-decoded.
-        assert!(remap_record(&bytes[..bytes.len() - 1], &[rcl], &name_index).is_none());
-        // A record that does not map onto the SCC must be refused.
-        assert!(remap_record(&bytes, &[MethodId(0)], &name_index).is_none());
     }
 
     #[test]

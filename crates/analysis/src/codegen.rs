@@ -32,15 +32,15 @@ pub struct GeneratedTestCase {
 /// # Example
 ///
 /// ```
-/// use jgre_analysis::{generate_test_case, IpcMethodExtractor, JgrEntryExtractor,
-///     VulnerableIpcDetector};
+/// use jgre_analysis::{generate_test_case, DataflowDetector, IpcMethodExtractor,
+///     JgrEntryExtractor};
 /// use jgre_corpus::{spec::AospSpec, CodeModel};
 ///
 /// let spec = AospSpec::android_6_0_1();
 /// let model = CodeModel::synthesize(&spec);
 /// let ipc = IpcMethodExtractor::new(&model).extract();
 /// let entries = JgrEntryExtractor::new(&model).extract();
-/// let out = VulnerableIpcDetector::new(&model, &entries).detect(&ipc);
+/// let out = DataflowDetector::new(&model, &entries).detect(&ipc).detector;
 /// let wifi = out.risky.iter()
 ///     .find(|r| r.ipc.service == "wifi" && r.ipc.method == "acquireWifiLock")
 ///     .unwrap();

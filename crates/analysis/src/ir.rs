@@ -12,11 +12,11 @@ use serde::{Deserialize, Serialize};
 
 /// A stable 64-bit content hash of one method's analysis-relevant facts.
 ///
-/// Fingerprints are the cache keys of the incremental summary engine:
-/// they must be identical across processes, platforms, and map iteration
-/// orders, so they are computed with an explicitly specified chunked
-/// mixer ([`StableHasher`]) rather than `std::hash` (whose output is not
-/// guaranteed stable between runs).
+/// Fingerprints key the on-disk summary cache (through the corpus
+/// fingerprint): they must be identical across processes, platforms,
+/// and map iteration orders, so they are computed with an explicitly
+/// specified chunked mixer ([`StableHasher`]) rather than `std::hash`
+/// (whose output is not guaranteed stable between runs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Fingerprint(pub u64);
 

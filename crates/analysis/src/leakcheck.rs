@@ -22,7 +22,7 @@
 //! the heuristic detector is kept as a cross-check oracle (see
 //! [`DataflowOutput::cross_check`]).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 use jgre_corpus::body::{AllocSite, BranchKind, FieldKind, Place, Var};
@@ -34,9 +34,7 @@ use crate::cache;
 use crate::dataflow::{
     condense_call_graph, run_wave, solve_forward, ForwardAnalysis, JoinSemiLattice,
 };
-use crate::ir::{
-    corpus_fingerprint, method_fact_fingerprints, Cfg, StableHasher, Stmt, Terminator,
-};
+use crate::ir::{corpus_fingerprint, method_fact_fingerprints, Cfg, Stmt, Terminator};
 use crate::{DetectorOutput, IpcMethod, JgrEntrySets, RiskyInterface, SiftReason};
 
 /// A small set of branch predicates, as *must*-information: a bit is set
@@ -184,8 +182,8 @@ impl MethodSummary {
 pub struct SolverStats {
     /// Methods analysed (one CFG each).
     pub methods: usize,
-    /// Total basic blocks across all CFGs *lowered this run* — cache
-    /// hits skip lowering entirely, so a warm run reports fewer.
+    /// Total basic blocks across all CFGs *lowered this run* — a cache
+    /// hit skips lowering entirely, so a warm run reports none.
     pub cfg_blocks: usize,
     /// SCCs of the call graph.
     pub sccs: usize,
@@ -196,8 +194,8 @@ pub struct SolverStats {
     /// SCC summaries computed from scratch (every SCC, when no cache
     /// directory is configured).
     pub cache_misses: u64,
-    /// Cache regions rejected as corrupt, stale-schema, or unmappable
-    /// and recomputed.
+    /// Cache regions rejected as corrupt or stale-schema and
+    /// recomputed.
     pub cache_invalidated: u64,
 }
 
@@ -531,19 +529,11 @@ pub struct LeakChecker<'m> {
 
 /// What one wave worker produced for one SCC.
 struct SccOutcome {
-    /// The SCC cache key (0 when caching is disabled).
-    key: u64,
-    /// Portable record bytes for the store pass (caching runs only).
-    record: Option<Vec<u8>>,
     /// Final summaries of the SCC's members.
     members: Vec<(MethodId, MethodSummary)>,
-    /// Served from the cache?
-    hit: bool,
-    /// Cache entries rejected while trying to serve this SCC.
-    invalidated: u64,
-    /// Basic blocks lowered (0 on a hit).
+    /// Basic blocks lowered.
     cfg_blocks: usize,
-    /// Solver block transfers (0 on a hit).
+    /// Solver block transfers.
     iterations: u64,
 }
 
@@ -594,25 +584,91 @@ impl<'m> LeakChecker<'m> {
 
     /// [`LeakChecker::analyze`] with caching and parallelism knobs.
     ///
-    /// With a cache directory the run is incremental: an unchanged
-    /// corpus is served whole from the Tier A table; after an edit, only
-    /// the SCC-condensation cone above the changed methods is
-    /// recomputed, everything below comes from Tier B records. Verdicts
-    /// are structurally identical in every mode — hits and misses only
-    /// show up in [`SolverStats`]. Cache writes are best-effort: an
-    /// unwritable directory degrades to a cold run, never an error.
+    /// With a cache directory, an unchanged corpus is served whole from
+    /// the cached table; any other corpus (an edit included) is solved
+    /// from scratch, exactly as without a cache, and the table is
+    /// rewritten. Verdicts are structurally identical in every mode —
+    /// hits and misses only show up in [`SolverStats`]. Cache writes are
+    /// best-effort: an unwritable directory degrades to a cold run,
+    /// never an error.
     pub fn analyze_with(&self, options: &AnalysisOptions) -> LeakAnalysis {
-        let model = self.model;
-        let n = model.methods.len();
-        let threads = options.threads.unwrap_or(1);
+        let n = self.model.methods.len();
         let mut stats = SolverStats {
             methods: n,
             ..SolverStats::default()
         };
 
-        // Fact fingerprints are cheap (no body synthesis, no lowering):
-        // the entire warm path hashes facts and decodes Tier A.
-        let mut is_jgr_entry = vec![false; n];
+        let cache = options
+            .cache_dir
+            .as_ref()
+            .map(|dir| (dir.join(cache::CACHE_FILE), self.corpus_fingerprint()));
+        let loaded = match &cache {
+            Some((path, corpus_fp)) => cache::load(path, *corpus_fp, n),
+            None => cache::LoadedCache::default(),
+        };
+        stats.cache_invalidated = loaded.invalidated;
+        let (summaries, rewrite) = match loaded.tier_a {
+            // The corpus is byte-identical to the cached one, so every
+            // SCC's summaries are served without lowering a single CFG
+            // or even condensing the call graph. A file with a rejected
+            // region (e.g. a truncated record tail) is rewritten so the
+            // next run loads clean.
+            Some(tier_a) => {
+                stats.sccs = loaded.scc_count as usize;
+                stats.cache_hits = u64::from(loaded.scc_count);
+                (tier_a, loaded.invalidated > 0)
+            }
+            // Absent or stale: solve from scratch and rewrite it whole.
+            None => (self.solve(options.threads.unwrap_or(1), &mut stats), true),
+        };
+        if let Some((path, corpus_fp)) = cache.as_ref().filter(|_| rewrite) {
+            let tier_a = cache::encode_tier_a(&summaries);
+            let _ = cache::store(
+                path,
+                *corpus_fp,
+                stats.sccs as u32,
+                &tier_a,
+                &BTreeMap::new(),
+            );
+        }
+        let summaries = summaries
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| (MethodId(i as u32), s))
+            .collect();
+        LeakAnalysis { summaries, stats }
+    }
+
+    /// Solves every SCC bottom-up, one parallel wave per condensation
+    /// level; returns the summaries in `MethodId` order.
+    fn solve(&self, threads: usize, stats: &mut SolverStats) -> Vec<MethodSummary> {
+        let model = self.model;
+        let cond = condense_call_graph(model);
+        stats.sccs = cond.sccs.len();
+        stats.cache_misses = stats.sccs as u64;
+        let mut summaries: Vec<Option<MethodSummary>> = vec![None; model.methods.len()];
+        for wave in cond.levels(model) {
+            let outcomes = run_wave(&wave, threads, |i| {
+                self.process_scc(&cond.sccs[i], &summaries)
+            });
+            for (_, outcome) in outcomes {
+                stats.cfg_blocks += outcome.cfg_blocks;
+                stats.solver_iterations += outcome.iterations;
+                for (m, s) in outcome.members {
+                    summaries[m.0 as usize] = Some(s);
+                }
+            }
+        }
+        summaries
+            .into_iter()
+            .map(|s| s.expect("every SCC processed"))
+            .collect()
+    }
+
+    /// The cache key: a fingerprint of every method's facts, with step-2
+    /// entry-set membership folded in.
+    fn corpus_fingerprint(&self) -> u64 {
+        let mut is_jgr_entry = vec![false; self.model.methods.len()];
         if let Some(entries) = self.entries {
             for id in &entries.java_entries {
                 if let Some(slot) = is_jgr_entry.get_mut(id.0 as usize) {
@@ -620,160 +676,13 @@ impl<'m> LeakChecker<'m> {
                 }
             }
         }
-        let fps = method_fact_fingerprints(model, &is_jgr_entry);
-        let corpus_fp = corpus_fingerprint(&fps).0;
-
-        let cache_path = options
-            .cache_dir
-            .as_ref()
-            .map(|dir| dir.join(cache::CACHE_FILE));
-        let loaded = match &cache_path {
-            Some(path) => cache::load(path, corpus_fp, n),
-            None => cache::LoadedCache::default(),
-        };
-        stats.cache_invalidated = loaded.invalidated;
-
-        // Tier A fast path: the corpus is byte-identical to the cached
-        // one, so every SCC's summaries are served without lowering a
-        // single CFG or even condensing the call graph.
-        if let Some(tier_a) = loaded.tier_a {
-            stats.sccs = loaded.scc_count as usize;
-            stats.cache_hits = u64::from(loaded.scc_count);
-            if loaded.invalidated > 0 {
-                // Tier A survived but some region was rejected (e.g. a
-                // truncated Tier B tail): rewrite the file from the
-                // surviving parts so the next run loads clean.
-                if let Some(path) = &cache_path {
-                    let encoded = cache::encode_tier_a(&tier_a);
-                    let _ =
-                        cache::store(path, corpus_fp, loaded.scc_count, &encoded, &loaded.tier_b);
-                }
-            }
-            let summaries = tier_a
-                .into_iter()
-                .enumerate()
-                .map(|(i, s)| (MethodId(i as u32), s))
-                .collect();
-            return LeakAnalysis { summaries, stats };
-        }
-
-        let caching = cache_path.is_some();
-        let cond = condense_call_graph(model);
-        stats.sccs = cond.sccs.len();
-        let scc_index = cond.scc_index(n);
-        let waves = cond.levels(model);
-        let name_index: HashMap<(&str, &str), MethodId> = if loaded.tier_b.is_empty() {
-            HashMap::new()
-        } else {
-            model
-                .methods
-                .iter()
-                .map(|d| ((d.class.as_str(), d.name.as_str()), d.id))
-                .collect()
-        };
-
-        let mut summaries: Vec<Option<MethodSummary>> = vec![None; n];
-        // Summary fingerprints, computed once per method as its SCC
-        // completes; `scc_key` reads its callees' entries instead of
-        // re-encoding the callee summary for every call edge.
-        let mut summary_fps: Vec<Option<u64>> = vec![None; n];
-        let mut used_records: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-        for wave in &waves {
-            let outcomes = run_wave(wave, threads, |i| {
-                self.process_scc(
-                    i,
-                    &cond.sccs[i],
-                    caching,
-                    &fps,
-                    &scc_index,
-                    &summaries,
-                    &summary_fps,
-                    &loaded.tier_b,
-                    &name_index,
-                )
-            });
-            for (_, outcome) in outcomes {
-                stats.cfg_blocks += outcome.cfg_blocks;
-                stats.solver_iterations += outcome.iterations;
-                stats.cache_hits += u64::from(outcome.hit);
-                stats.cache_misses += u64::from(!outcome.hit);
-                stats.cache_invalidated += outcome.invalidated;
-                if let Some(record) = outcome.record {
-                    used_records.insert(outcome.key, record);
-                }
-                for (m, s) in outcome.members {
-                    if caching {
-                        summary_fps[m.0 as usize] = Some(cache::summary_fingerprint(model, m, &s));
-                    }
-                    summaries[m.0 as usize] = Some(s);
-                }
-            }
-        }
-
-        let summaries: BTreeMap<MethodId, MethodSummary> = summaries
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| (MethodId(i as u32), s.expect("every SCC processed")))
-            .collect();
-
-        // We only reach here when Tier A missed, so the file on disk is
-        // absent or stale: rewrite it whole. Stale Tier B keys are
-        // garbage-collected by keeping only the keys this run used.
-        if let Some(path) = &cache_path {
-            let ordered: Vec<MethodSummary> = model
-                .methods
-                .iter()
-                .map(|def| summaries[&def.id].clone())
-                .collect();
-            let tier_a = cache::encode_tier_a(&ordered);
-            let _ = cache::store(path, corpus_fp, stats.sccs as u32, &tier_a, &used_records);
-        }
-        LeakAnalysis { summaries, stats }
+        corpus_fingerprint(&method_fact_fingerprints(self.model, &is_jgr_entry)).0
     }
 
-    /// Serves one SCC from the cache or computes it: intra solve per
-    /// member plus the SCC-local fixpoint over callee summaries.
-    #[allow(clippy::too_many_arguments)]
-    fn process_scc(
-        &self,
-        scc_idx: usize,
-        scc: &[MethodId],
-        caching: bool,
-        fps: &[u64],
-        scc_index: &[usize],
-        global: &[Option<MethodSummary>],
-        summary_fps: &[Option<u64>],
-        tier_b: &BTreeMap<u64, Vec<u8>>,
-        name_index: &HashMap<(&str, &str), MethodId>,
-    ) -> SccOutcome {
+    /// Computes one SCC: intra solve per member plus the SCC-local
+    /// fixpoint over callee summaries.
+    fn process_scc(&self, scc: &[MethodId], global: &[Option<MethodSummary>]) -> SccOutcome {
         let model = self.model;
-        let mut invalidated = 0u64;
-        let key = if caching {
-            self.scc_key(scc_idx, scc, fps, scc_index, summary_fps)
-        } else {
-            0
-        };
-        if caching {
-            if let Some(bytes) = tier_b.get(&key) {
-                match cache::remap_record(bytes, scc, name_index) {
-                    Some(members) => {
-                        return SccOutcome {
-                            key,
-                            record: Some(bytes.clone()),
-                            members,
-                            hit: true,
-                            invalidated,
-                            cfg_blocks: 0,
-                            iterations: 0,
-                        }
-                    }
-                    // A key collision or hand-crafted record that passed
-                    // the checksum but does not map onto this SCC.
-                    None => invalidated += 1,
-                }
-            }
-        }
-
         let mut cfg_blocks = 0usize;
         let mut iterations = 0u64;
         let intras: Vec<IntraResult> = scc
@@ -801,62 +710,11 @@ impl<'m> LeakChecker<'m> {
                 break;
             }
         }
-        let members: Vec<(MethodId, MethodSummary)> = local.into_iter().collect();
-        let record = caching.then(|| {
-            let refs: Vec<(MethodId, &MethodSummary)> =
-                members.iter().map(|(m, s)| (*m, s)).collect();
-            cache::encode_record(model, &refs)
-        });
         SccOutcome {
-            key,
-            record,
-            members,
-            hit: false,
-            invalidated,
+            members: local.into_iter().collect(),
             cfg_blocks,
             iterations,
         }
-    }
-
-    /// The SCC cache key: schema version, the members' fact
-    /// fingerprints, and the summary fingerprints of every external
-    /// callee — both sorted numerically so the key survives `MethodId`
-    /// renumbering and is independent of traversal order.
-    fn scc_key(
-        &self,
-        scc_idx: usize,
-        scc: &[MethodId],
-        fps: &[u64],
-        scc_index: &[usize],
-        summary_fps: &[Option<u64>],
-    ) -> u64 {
-        let model = self.model;
-        let mut member_fps: Vec<u64> = scc.iter().map(|m| fps[m.0 as usize]).collect();
-        member_fps.sort_unstable();
-        let mut callee_fps: Vec<u64> = Vec::new();
-        for m in scc {
-            let def = model.method(*m);
-            for callee in def.calls.iter().chain(def.handler_posts.iter()) {
-                if scc_index[callee.0 as usize] == scc_idx {
-                    continue;
-                }
-                callee_fps.push(summary_fps[callee.0 as usize].expect("callee-first wave order"));
-            }
-        }
-        callee_fps.sort_unstable();
-        callee_fps.dedup();
-        let mut h = StableHasher::new();
-        h.write_u64(0x4a47_5245_534b_5931); // "JGRESKY1": SCC-key tag
-        h.write_u32(cache::SCHEMA_VERSION);
-        h.write_u32(member_fps.len() as u32);
-        for fp in member_fps {
-            h.write_u64(fp);
-        }
-        h.write_u32(callee_fps.len() as u32);
-        for fp in callee_fps {
-            h.write_u64(fp);
-        }
-        h.finish()
     }
 }
 

@@ -13,12 +13,13 @@
 //!    `IndirectReferenceTable::Add` (147 paths; 67 init-only, filtered),
 //!    then lifts the surviving JNI entry points to Java methods through
 //!    the `registerNativeMethods` data.
-//! 3. [`VulnerableIpcDetector`] — builds per-IPC-method call graphs
-//!    (direct + Handler-indirect edges), marks risky methods (reachable
-//!    JGR entry, or Binder/IInterface parameters — the
-//!    `readStrongBinder` special case), applies the four sift rules, and
-//!    filters by the PScout-style permission map (signature-level
-//!    permissions are unreachable for third-party apps).
+//! 3. [`DataflowDetector`] — runs the [`leakcheck`] pass: tracks every
+//!    JGR allocation site to its release or escape, bottom-up over the
+//!    call graph (direct + Handler-indirect edges), derives the four
+//!    sift rules as verdicts, and filters by the PScout-style permission
+//!    map (signature-level permissions are unreachable for third-party
+//!    apps). The heuristic [`VulnerableIpcDetector`] is kept as its test
+//!    oracle.
 //! 4. [`JgreVerifier`] — dynamically tests each risky interface against
 //!    the simulated device: fire IPC requests, trigger GC periodically
 //!    (the DDMS step), and confirm whether the JGR footprint grows without

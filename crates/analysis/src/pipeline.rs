@@ -86,17 +86,8 @@ impl Pipeline {
         let entries = JgrEntryExtractor::new(&self.model).extract();
 
         // Step 3: dataflow leak-check detection + sifting + permission
-        // filter. The legacy heuristic detector stays on as a cross-check
-        // oracle in debug builds — any divergence is a bug in one of the
-        // two implementations.
+        // filter.
         let flow = DataflowDetector::new(&self.model, &entries).detect_with(&ipc_methods, options);
-        debug_assert_eq!(
-            flow.cross_check(
-                &crate::VulnerableIpcDetector::new(&self.model, &entries).detect(&ipc_methods)
-            ),
-            crate::leakcheck::CrossCheck::default(),
-            "dataflow detector diverges from the heuristic oracle"
-        );
         let output = &flow.detector;
         let mut sift_counts: BTreeMap<SiftReason, usize> = BTreeMap::new();
         for (_, reason) in &output.sifted {

@@ -11,7 +11,7 @@ use jgre_analysis::{
     AnalysisOptions, DataflowDetector, DataflowOutput, IpcMethod, IpcMethodExtractor,
     JgrEntryExtractor, JgrEntrySets, CACHE_FILE,
 };
-use jgre_corpus::{spec::AospSpec, CodeModel};
+use jgre_corpus::{spec::AospSpec, CodeModel, ParamUsage};
 
 // magic (8) + version (4) + corpus fingerprint (8) + scc count (4) +
 // Tier A length (4); see the cache module's layout doc.
@@ -158,17 +158,38 @@ fn empty_file_is_rejected() {
     f.assert_recovered(&out, "empty file");
 }
 
+/// A copy of `pristine` (Tier A only, as the engine writes it) with a
+/// record region appended through `cache::store`, as files from the
+/// per-SCC-record era carry one. The header is kept, so the file still
+/// matches the corpus it was written for.
+fn with_records(pristine: &[u8], path: &std::path::Path) -> Vec<u8> {
+    use std::collections::BTreeMap;
+    let tier_a_len =
+        u32::from_le_bytes(pristine[HEADER_LEN - 4..HEADER_LEN].try_into().unwrap()) as usize;
+    let corpus_fp = u64::from_le_bytes(pristine[12..20].try_into().unwrap());
+    let scc_count = u32::from_le_bytes(pristine[20..24].try_into().unwrap());
+    let records: BTreeMap<u64, Vec<u8>> = (1..=3u64).map(|k| (k, vec![k as u8; 24])).collect();
+    jgre_analysis::cache::store(
+        path,
+        corpus_fp,
+        scc_count,
+        &pristine[HEADER_LEN..HEADER_LEN + tier_a_len],
+        &records,
+    )
+    .unwrap();
+    let bytes = fs::read(path).unwrap();
+    assert!(bytes.len() > pristine.len(), "records appended");
+    assert_eq!(bytes[..pristine.len()], pristine[..], "Tier A unchanged");
+    bytes
+}
+
 #[test]
 fn corrupt_tier_b_record_invalidates_only_that_record() {
     let f = Fixture::new("tierb");
-    let tier_a_len =
-        u32::from_le_bytes(f.pristine[HEADER_LEN - 4..HEADER_LEN].try_into().unwrap()) as usize;
-    // First Tier B record: [key u64][len u32][payload][checksum u64]
-    // right after the Tier A block and its checksum.
-    let first_record = HEADER_LEN + tier_a_len + 8;
-    let payload_at = first_record + 12;
-    assert!(payload_at < f.pristine.len(), "fixture has Tier B records");
-    let mut bytes = f.pristine.clone();
+    let mut bytes = with_records(&f.pristine, &f.dir.join("records.bin"));
+    // First record: [key u64][len u32][payload][checksum u64] right
+    // after the Tier A block and its checksum.
+    let payload_at = f.pristine.len() + 12;
     bytes[payload_at] ^= 0xff;
     // Tier A still matches this corpus, so the poisoned record is only
     // reached after an edit breaks the Tier A fast path. Simulate by
@@ -180,10 +201,61 @@ fn corrupt_tier_b_record_invalidates_only_that_record() {
         "tier B poison: wrong verdicts"
     );
     assert!(out.stats.cache_invalidated >= 1, "stats: {:?}", out.stats);
-    // All records except the poisoned one still hit.
-    assert!(
-        out.stats.cache_hits > out.stats.cache_misses,
+    f.assert_recovered(&out, "corrupt record");
+}
+
+/// The engine keeps one table: the file it writes ends right after the
+/// Tier A checksum. A file that still carries records warm-hits, and the
+/// first rewrite (after an edit) drops them.
+#[test]
+fn engine_writes_tier_a_only_and_drops_legacy_records() {
+    let f = Fixture::new("onetier");
+    let tier_a_len =
+        u32::from_le_bytes(f.pristine[HEADER_LEN - 4..HEADER_LEN].try_into().unwrap()) as usize;
+    assert_eq!(
+        f.pristine.len(),
+        HEADER_LEN + tier_a_len + 8,
+        "the engine wrote a record region"
+    );
+
+    let legacy = with_records(&f.pristine, &f.dir.join("records.bin"));
+    let warm = f.run_with_bytes(&legacy);
+    assert_eq!(warm.stats.cache_misses, 0, "stats: {:?}", warm.stats);
+    assert_eq!(warm.stats.cache_invalidated, 0, "stats: {:?}", warm.stats);
+    assert_eq!(warm.detector, f.cold.detector);
+    // A clean hit leaves the file as it was.
+    assert_eq!(fs::read(f.dir.join(CACHE_FILE)).unwrap(), legacy);
+
+    // One-method edit: the first binder param flips retained <-> local.
+    let mut edited = f.model.clone();
+    let def = edited
+        .methods
+        .iter_mut()
+        .find(|d| !d.binder_params.is_empty())
+        .expect("corpus has a method with binder params");
+    def.binder_params[0] = match def.binder_params[0] {
+        ParamUsage::StoredInCollection => ParamUsage::LocalOnly,
+        _ => ParamUsage::StoredInCollection,
+    };
+    let ipc = IpcMethodExtractor::new(&edited).extract();
+    let entries = JgrEntryExtractor::new(&edited).extract();
+    let detector = DataflowDetector::new(&edited, &entries);
+    let cached = detector.detect_with(&ipc, &AnalysisOptions::with_cache_dir(&f.dir));
+    let cold = detector.detect(&ipc);
+    assert_eq!(cached.detector, cold.detector);
+    assert_eq!(cached.verdicts, cold.verdicts);
+    assert_eq!(cached.stats.cache_hits, 0, "stats: {:?}", cached.stats);
+    assert_eq!(
+        cached.stats.cache_misses, cached.stats.sccs as u64,
         "stats: {:?}",
-        out.stats
+        cached.stats
+    );
+    let rewritten = fs::read(f.dir.join(CACHE_FILE)).unwrap();
+    let new_len =
+        u32::from_le_bytes(rewritten[HEADER_LEN - 4..HEADER_LEN].try_into().unwrap()) as usize;
+    assert_eq!(
+        rewritten.len(),
+        HEADER_LEN + new_len + 8,
+        "the rewrite kept a record region"
     );
 }

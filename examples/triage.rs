@@ -10,7 +10,7 @@
 //! Run with `cargo run --example triage`.
 
 use jgre_core::analysis::{
-    generate_test_case, IpcMethodExtractor, JgrEntryExtractor, VulnerableIpcDetector,
+    generate_test_case, DataflowDetector, IpcMethodExtractor, JgrEntryExtractor,
 };
 use jgre_core::corpus::{spec::AospSpec, CodeModel};
 use jgre_core::framework::{CallOptions, System, SystemConfig};
@@ -21,7 +21,9 @@ fn main() {
     let model = CodeModel::synthesize(&spec);
     let ipc = IpcMethodExtractor::new(&model).extract();
     let entries = JgrEntryExtractor::new(&model).extract();
-    let output = VulnerableIpcDetector::new(&model, &entries).detect(&ipc);
+    let output = DataflowDetector::new(&model, &entries)
+        .detect(&ipc)
+        .detector;
     let finding = output
         .risky
         .iter()

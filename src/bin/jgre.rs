@@ -66,11 +66,13 @@ OPTIONS:
   --json       print the raw JSON instead of the rendered table
   --seed N     override the experiment seed (default 2017)
   --cache-dir DIR
-               (lint) persist per-SCC summaries under DIR; an unchanged
-               corpus re-lints from the cache, an edit recomputes only
-               the affected call-graph cone
-  --threads N  (lint, fleet) worker threads — the lint's per-wave SCC
-               fan-out, the fleet's device shards
+               (lint) persist the whole-corpus summary table under DIR;
+               an unchanged corpus re-lints from the cache, any edit
+               re-solves the corpus and rewrites the table
+  --threads N  (lint, fleet, fuzz, serve) worker threads — the lint's
+               per-wave SCC fan-out, the fleet's device shards, the
+               fuzzer's service shards; serve with N >= 2 runs the
+               stream producer on its own thread
                (default 1; results are identical for every N)
   --devices N  (fleet) devices to simulate (default 1000)
   --attack SEL (fleet) catalog selector: a zero-based index, a
@@ -101,9 +103,9 @@ OPTIONS:
                jgr-corrupt, clock-jitter, kill-fail, kill-respawn,
                defender-crash
                (default: all; fault-free baselines always run)
-  --out PATH   (chaos, fleet, fuzz) write the result as JSON to PATH and
-               the rendered table next to it as PATH with a .txt
-               extension
+  --out PATH   (chaos, fleet, fuzz, serve) write the result as JSON to
+               PATH and the rendered table next to it as PATH with a
+               .txt extension
   --list-cells (chaos) print the cell ids the matrix would run, one per
                line, without running anything (honors --fault)
 ";
@@ -145,6 +147,20 @@ fn emit<T: serde::Serialize>(options: &Options, data: &T, rendered: String) {
     } else {
         say(rendered);
     }
+}
+
+/// With `--out PATH`, writes `json` to PATH and `rendered` beside it as
+/// PATH with a `.txt` extension — the same bytes as the bench harness's
+/// `write_artifact`, so the CLI and the benches regenerate identical
+/// golden files. Every caller's JSON excludes threads and wall-clock, so
+/// two runs with the same seed write identical bytes.
+fn write_out(options: &Options, json: &str, rendered: &str) -> Result<(), String> {
+    let Some(path) = &options.out else {
+        return Ok(());
+    };
+    std::fs::write(path, json).map_err(|e| format!("writing {}: {e}", path.display()))?;
+    let txt = path.with_extension("txt");
+    std::fs::write(&txt, rendered).map_err(|e| format!("writing {}: {e}", txt.display()))
 }
 
 fn run(command: &str, options: &Options) -> Result<(), String> {
@@ -254,15 +270,7 @@ fn run(command: &str, options: &Options) -> Result<(), String> {
             let matrix = experiments::chaos_matrix(scale, options.fault);
             let json = serde_json::to_string_pretty(&matrix).expect("chaos matrix serialises");
             let rendered = matrix.render();
-            if let Some(path) = &options.out {
-                // Same bytes as the bench harness's write_artifact, so the
-                // CLI and the bench regenerate identical golden files.
-                std::fs::write(path, &json)
-                    .map_err(|e| format!("writing {}: {e}", path.display()))?;
-                let txt = path.with_extension("txt");
-                std::fs::write(&txt, &rendered)
-                    .map_err(|e| format!("writing {}: {e}", txt.display()))?;
-            }
+            write_out(options, &json, &rendered)?;
             emit(options, &matrix, rendered);
             if matrix.violations > 0 {
                 return Err(format!(
@@ -300,16 +308,7 @@ fn run(command: &str, options: &Options) -> Result<(), String> {
             let elapsed = started.elapsed();
             let json = serde_json::to_string_pretty(&summary).expect("fleet summary serialises");
             let rendered = summary.render();
-            if let Some(path) = &options.out {
-                // The JSON is fully deterministic (no wall-clock fields),
-                // so two runs with the same seed write identical bytes —
-                // the CI smoke job diffs them.
-                std::fs::write(path, &json)
-                    .map_err(|e| format!("writing {}: {e}", path.display()))?;
-                let txt = path.with_extension("txt");
-                std::fs::write(&txt, &rendered)
-                    .map_err(|e| format!("writing {}: {e}", txt.display()))?;
-            }
+            write_out(options, &json, &rendered)?;
             emit(options, &summary, rendered);
             // Throughput is wall-clock and thread-dependent, so it goes to
             // stderr only; stdout and --out stay byte-reproducible.
@@ -348,16 +347,7 @@ fn run(command: &str, options: &Options) -> Result<(), String> {
             };
             let json = artifact.to_json();
             let rendered = artifact.render();
-            if let Some(path) = &options.out {
-                // The report excludes threads and wall-clock, so two runs
-                // with the same seed write identical bytes — the CI smoke
-                // job diffs them.
-                std::fs::write(path, &json)
-                    .map_err(|e| format!("writing {}: {e}", path.display()))?;
-                let txt = path.with_extension("txt");
-                std::fs::write(&txt, &rendered)
-                    .map_err(|e| format!("writing {}: {e}", txt.display()))?;
-            }
+            write_out(options, &json, &rendered)?;
             emit(options, &artifact, rendered);
             // Throughput is wall-clock and machine-dependent: stderr only.
             let secs = fuzz_elapsed.as_secs_f64();
@@ -420,16 +410,7 @@ fn run(command: &str, options: &Options) -> Result<(), String> {
             let elapsed = started.elapsed();
             let json = report.to_json();
             let rendered = report.render();
-            if let Some(path) = &options.out {
-                // The report excludes threads/chunking and wall-clock, so
-                // two runs with the same seed write identical bytes — the
-                // CI smoke job diffs them.
-                std::fs::write(path, &json)
-                    .map_err(|e| format!("writing {}: {e}", path.display()))?;
-                let txt = path.with_extension("txt");
-                std::fs::write(&txt, &rendered)
-                    .map_err(|e| format!("writing {}: {e}", txt.display()))?;
-            }
+            write_out(options, &json, &rendered)?;
             emit(options, &report, rendered);
             // Throughput is wall-clock and machine-dependent: stderr only.
             let secs = elapsed.as_secs_f64();
