@@ -421,11 +421,7 @@ mod tests {
     fn tier_a_roundtrips() {
         let model = CodeModel::synthesize(&AospSpec::android_6_0_1());
         let analysis = crate::leakcheck::LeakChecker::new(&model).analyze();
-        let ordered: Vec<MethodSummary> = model
-            .methods
-            .iter()
-            .map(|def| analysis.summaries[&def.id].clone())
-            .collect();
+        let ordered = analysis.summaries;
         let bytes = encode_tier_a(&ordered);
         let decoded = decode_tier_a(&bytes, model.methods.len()).expect("clean roundtrip");
         assert_eq!(decoded, ordered);
@@ -490,11 +486,7 @@ mod tests {
         // self-invalidates even under an unchanged version number.
         let model = CodeModel::synthesize(&AospSpec::android_6_0_1());
         let analysis = crate::leakcheck::LeakChecker::new(&model).analyze();
-        let ordered: Vec<MethodSummary> = model
-            .methods
-            .iter()
-            .map(|def| analysis.summaries[&def.id].clone())
-            .collect();
+        let ordered = analysis.summaries;
         let mut tier_a = encode_tier_a(&ordered);
         // Poison the final byte of the payload — the last encoded site's
         // predicate byte.

@@ -541,8 +541,8 @@ struct SccOutcome {
 /// solver statistics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeakAnalysis {
-    /// Bottom-up summary per method.
-    pub summaries: BTreeMap<MethodId, MethodSummary>,
+    /// Bottom-up summary per method, indexed by `MethodId`.
+    pub summaries: Vec<MethodSummary>,
     /// Work statistics.
     pub stats: SolverStats,
 }
@@ -631,11 +631,6 @@ impl<'m> LeakChecker<'m> {
                 &BTreeMap::new(),
             );
         }
-        let summaries = summaries
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| (MethodId(i as u32), s))
-            .collect();
         LeakAnalysis { summaries, stats }
     }
 
@@ -870,7 +865,7 @@ impl LeakAnalysis {
     ///
     /// Panics when `id` was not part of the analysed model.
     pub fn summary(&self, id: MethodId) -> &MethodSummary {
-        &self.summaries[&id]
+        &self.summaries[id.0 as usize]
     }
 
     /// Derives the sift verdict for an IPC root from reference fates,
@@ -888,7 +883,7 @@ impl LeakAnalysis {
     /// pre-predicate behaviour, kept as the soundness baseline the
     /// path-sensitive findings must be a subset of.
     pub fn verdict_for_with(&self, root: MethodId, path_sensitive: bool) -> LeakVerdict {
-        let Some(summary) = self.summaries.get(&root) else {
+        let Some(summary) = self.summaries.get(root.0 as usize) else {
             return LeakVerdict::NoJgr;
         };
         let sites = &summary.sites;

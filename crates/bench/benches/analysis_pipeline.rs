@@ -1,26 +1,9 @@
-//! T-ANALYSIS: regenerates the §IV headline numbers and Tables I/IV/V at
-//! paper scale, and times the pipeline stages.
+//! T-ANALYSIS: times the static pipeline stages behind the §IV headline
+//! numbers and Tables I/IV/V.
 
 use criterion::{criterion_group, Criterion};
 use jgre_analysis::{IpcMethodExtractor, JgrEntryExtractor, Pipeline, VulnerableIpcDetector};
-use jgre_bench::{artifacts_enabled, write_artifact};
-use jgre_core::{experiments, ExperimentScale};
 use jgre_corpus::{spec::AospSpec, CodeModel};
-
-fn generate_artifacts() {
-    if !artifacts_enabled() {
-        return;
-    }
-    let scale = ExperimentScale::paper();
-    let headline = experiments::analysis_headline(scale);
-    write_artifact("t_analysis_headline", &headline, &headline.render());
-    let t1 = experiments::table1(scale);
-    write_artifact("table1_unprotected", &t1, &t1.render());
-    let t4 = experiments::table4(scale);
-    write_artifact("table4_prebuilt_apps", &t4, &t4.render());
-    let t5 = experiments::table5(scale);
-    write_artifact("table5_third_party", &t5, &t5.render());
-}
 
 fn bench_pipeline(c: &mut Criterion) {
     let spec = AospSpec::android_6_0_1();
@@ -50,7 +33,6 @@ fn bench_pipeline(c: &mut Criterion) {
 criterion_group!(benches, bench_pipeline);
 
 fn main() {
-    generate_artifacts();
     benches();
     criterion::Criterion::default()
         .configure_from_args()

@@ -1,37 +1,12 @@
-//! Robustness: the seeded fault matrix as a bench + artifact generator.
-//!
-//! The artifact pass re-runs the full matrix at quick scale (the same
-//! shape `jgre chaos` ships) and asserts the recovery invariants; the
-//! timed pass measures one degraded detection (severe IPC-record loss →
-//! call-count fallback) so fault-layer overhead regressions show up.
+//! Robustness kernel: one degraded detection (severe IPC-record loss →
+//! call-count fallback), so fault-layer overhead regressions show up.
+//! The matrix itself is `jgre chaos`.
 
 use criterion::{criterion_group, Criterion};
-use jgre_bench::{artifacts_enabled, write_artifact};
-use jgre_core::{experiments, ExperimentScale};
+use jgre_core::ExperimentScale;
 use jgre_defense::{DefenderConfig, JgreDefender, ScoringKind};
 use jgre_framework::{CallOptions, System, SystemConfig};
 use jgre_sim::{FaultIntensity, FaultKind, FaultPlan};
-
-fn generate_artifacts() {
-    if !artifacts_enabled() {
-        return;
-    }
-    let m = experiments::chaos_matrix(ExperimentScale::quick().with_seed(0), None);
-    write_artifact("chaos_matrix", &m, &m.render());
-    assert_eq!(
-        m.violations,
-        0,
-        "recovery invariants must hold:\n{}",
-        m.render()
-    );
-    assert_eq!(m.cells.len(), 62);
-    assert!(
-        m.cells
-            .iter()
-            .any(|c| c.scoring == Some(ScoringKind::CallCount)),
-        "the matrix must exercise the call-count fallback"
-    );
-}
 
 fn bench_degraded_detection(c: &mut Criterion) {
     let mut group = c.benchmark_group("chaos");
@@ -75,7 +50,6 @@ fn bench_degraded_detection(c: &mut Criterion) {
 criterion_group!(benches, bench_degraded_detection);
 
 fn main() {
-    generate_artifacts();
     benches();
     criterion::Criterion::default()
         .configure_from_args()

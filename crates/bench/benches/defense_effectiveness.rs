@@ -1,28 +1,7 @@
-//! §V-C at paper scale: the JGRE Defender must stop all 57 identified
-//! attacks without a single soft reboot.
+//! §V-C kernel: all 57 defended attacks at quick scale.
 
 use criterion::{criterion_group, Criterion};
-use jgre_bench::{artifacts_enabled, write_artifact};
 use jgre_core::{experiments, ExperimentScale};
-
-fn generate_artifacts() {
-    if !artifacts_enabled() {
-        return;
-    }
-    let e = experiments::defense_effectiveness(ExperimentScale::paper());
-    write_artifact("defense_effectiveness", &e, &e.render());
-    assert_eq!(e.runs.len(), 57);
-    assert_eq!(
-        e.defended,
-        57,
-        "undefended: {:?}",
-        e.runs
-            .iter()
-            .filter(|r| !(r.victim_survived && r.attacker_killed))
-            .map(|r| r.interface.clone())
-            .collect::<Vec<_>>()
-    );
-}
 
 fn bench_effectiveness_quick(c: &mut Criterion) {
     let mut group = c.benchmark_group("defense");
@@ -36,7 +15,6 @@ fn bench_effectiveness_quick(c: &mut Criterion) {
 criterion_group!(benches, bench_effectiveness_quick);
 
 fn main() {
-    generate_artifacts();
     benches();
     criterion::Criterion::default()
         .configure_from_args()

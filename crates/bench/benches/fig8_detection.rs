@@ -1,27 +1,10 @@
-//! Figure 8: the defender's suspicious-IPC counts — malicious app vs the
-//! top benign app — across the known vulnerabilities, at paper scale.
+//! Figure 8 kernel: Algorithm 1 scoring one attacker against ten sparse
+//! benign apps, segment tree vs naive array.
 
 use criterion::{criterion_group, Criterion};
-use jgre_bench::{artifacts_enabled, write_artifact};
-use jgre_core::{experiments, ExperimentScale};
+use jgre_core::experiments::IpcByUid;
 use jgre_defense::{naive_scores, segment_tree_scores, ScoreParams};
 use jgre_sim::{SimTime, Uid};
-
-fn generate_artifacts() {
-    if !artifacts_enabled() {
-        return;
-    }
-    // 54 vulnerabilities × (1 attacker + 10 benign apps), Δ = 1.8 ms.
-    let fig8 = experiments::fig8(ExperimentScale::paper(), 10, usize::MAX);
-    write_artifact("fig8_detection", &fig8, &fig8.render());
-    assert!(
-        fig8.separation_rate() >= 0.99,
-        "attacker must outscore every benign app: {:.2}",
-        fig8.separation_rate()
-    );
-}
-
-type IpcByUid = std::collections::BTreeMap<Uid, std::collections::BTreeMap<String, Vec<SimTime>>>;
 
 /// Synthetic scoring workload: one attacker stream + `n_benign` sparse
 /// benign streams over `adds` JGR events.
@@ -67,7 +50,6 @@ fn bench_scoring(c: &mut Criterion) {
 criterion_group!(benches, bench_scoring);
 
 fn main() {
-    generate_artifacts();
     benches();
     criterion::Criterion::default()
         .configure_from_args()

@@ -1,24 +1,8 @@
-//! Figure 9: four colluding attackers + one chatty benign app, scored at
-//! Δ ∈ {79, 1900, 3583} µs, at paper scale.
+//! Figure 9 kernel: the four-colluder scenario end to end at quick
+//! scale.
 
 use criterion::{criterion_group, Criterion};
-use jgre_bench::{artifacts_enabled, write_artifact};
 use jgre_core::{experiments, ExperimentScale};
-
-fn generate_artifacts() {
-    if !artifacts_enabled() {
-        return;
-    }
-    let fig9 = experiments::fig9(ExperimentScale::paper());
-    write_artifact("fig9_collusion", &fig9, &fig9.render());
-    for &delta in &fig9.deltas_us {
-        assert!(
-            fig9.top4_all_malicious(delta),
-            "Δ={delta}µs: the four colluders must top the ranking\n{}",
-            fig9.render()
-        );
-    }
-}
 
 fn bench_collusion_round(c: &mut Criterion) {
     let mut group = c.benchmark_group("collusion");
@@ -32,7 +16,6 @@ fn bench_collusion_round(c: &mut Criterion) {
 criterion_group!(benches, bench_collusion_round);
 
 fn main() {
-    generate_artifacts();
     benches();
     criterion::Criterion::default()
         .configure_from_args()

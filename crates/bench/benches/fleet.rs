@@ -18,7 +18,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use criterion::{criterion_group, Criterion};
-use jgre_bench::{artifacts_enabled, write_artifact};
+use jgre_bench::write_artifact;
 use jgre_core::fleet::FleetConfig;
 use jgre_core::{run_campaign, ExperimentScale, FleetSummary};
 use serde::Serialize;
@@ -118,9 +118,7 @@ fn bench_fleet(c: &mut Criterion) {
             "4 workers must beat 1 worker by >= 2x on >= 4 hardware threads, got {speedup:.2}x"
         );
     }
-    if artifacts_enabled() {
-        write_artifact("fleet_throughput", &artifact, &rendered);
-    }
+    write_artifact("fleet_throughput", &artifact, &rendered);
 }
 
 criterion_group!(benches, bench_fleet);

@@ -17,7 +17,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use criterion::{criterion_group, Criterion};
-use jgre_bench::{artifacts_enabled, write_artifact};
+use jgre_bench::write_artifact;
 use jgre_core::ExperimentScale;
 use jgre_fuzz::{run_fuzz, FuzzConfig};
 use serde::Serialize;
@@ -125,9 +125,7 @@ fn bench_fuzz(c: &mut Criterion) {
             .map_or_else(|| "-".to_owned(), |e| e.to_string()),
     );
     println!("{rendered}");
-    if artifacts_enabled() {
-        write_artifact("fuzz_throughput", &artifact, &rendered);
-    }
+    write_artifact("fuzz_throughput", &artifact, &rendered);
 }
 
 criterion_group!(benches, bench_fuzz);

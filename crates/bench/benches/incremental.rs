@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, BatchSize, Criterion};
 use jgre_analysis::{AnalysisOptions, LeakChecker, CACHE_FILE};
-use jgre_bench::{artifacts_enabled, write_artifact};
+use jgre_bench::write_artifact;
 use jgre_corpus::{spec::AospSpec, CodeModel, MethodId, ParamUsage};
 use serde::Serialize;
 
@@ -180,9 +180,7 @@ fn bench_incremental(c: &mut Criterion) {
         "warm re-analysis must be >= 10x faster than cold, got {:.1}x",
         artifact.warm_speedup
     );
-    if artifacts_enabled() {
-        write_artifact("incremental_cache", &artifact, &rendered);
-    }
+    write_artifact("incremental_cache", &artifact, &rendered);
 }
 
 criterion_group!(benches, bench_incremental);

@@ -11,7 +11,7 @@ use std::time::Instant;
 use criterion::{criterion_group, Criterion};
 use jgre_analysis::dataflow::JoinSemiLattice;
 use jgre_analysis::{intra_solver_cost, solve_forward, Cfg, ForwardAnalysis, Stmt};
-use jgre_bench::{artifacts_enabled, write_artifact};
+use jgre_bench::write_artifact;
 use jgre_corpus::body::{FieldKind, Place, Var};
 use jgre_corpus::{spec::AospSpec, CodeModel, MethodId};
 use serde::Serialize;
@@ -229,9 +229,7 @@ fn bench_pathsense(c: &mut Criterion) {
         "predicate lattice must stay under 2x the boolean solver, got {:.2}x",
         artifact.overhead
     );
-    if artifacts_enabled() {
-        write_artifact("pathsense_overhead", &artifact, &rendered);
-    }
+    write_artifact("pathsense_overhead", &artifact, &rendered);
 }
 
 criterion_group!(benches, bench_pathsense);

@@ -1,66 +1,16 @@
-//! Crash-consistency costs: checkpoint writes and replay-from-checkpoint.
-//!
-//! The artifact pass runs the `defender-crash` column of the chaos matrix
-//! and tabulates the recovery bill — crashes, restarts, records replayed,
-//! and the virtual recovery delay (supervisor backoff + replay) — the
-//! numbers the EXPERIMENTS.md recovery table quotes. The timed pass
-//! measures the two real-time kernels of the durable defender:
-//! writing one checkpoint of a loaded monitor, and a full resume
-//! (reopen + restore + replay) whose replay is bounded by the checkpoint
-//! interval.
+//! Crash-consistency costs: the two real-time kernels of the durable
+//! defender — writing one checkpoint of a loaded monitor, and a full
+//! resume (reopen + restore + replay) whose replay is bounded by the
+//! checkpoint interval. The recovery bill in virtual time is the
+//! `defender-crash` rows of `jgre chaos`.
 
-use std::fmt::Write as _;
 use std::rc::Rc;
 
 use criterion::{criterion_group, Criterion};
-use jgre_bench::{artifacts_enabled, write_artifact};
-use jgre_core::{experiments, ExperimentScale};
+use jgre_core::ExperimentScale;
 use jgre_defense::{DefenderConfig, DurableConfig, JgreDefender, MemoryStore};
 use jgre_framework::{CallOptions, System, SystemConfig};
-use jgre_sim::{FaultKind, FaultPlan};
-
-fn generate_artifacts() {
-    if !artifacts_enabled() {
-        return;
-    }
-    let m = experiments::chaos_matrix(
-        ExperimentScale::quick().with_seed(0),
-        Some(FaultKind::DefenderCrash),
-    );
-    let cells: Vec<_> = m
-        .cells
-        .iter()
-        .filter(|c| c.fault == "defender-crash")
-        .cloned()
-        .collect();
-    let mut rendered = String::from(
-        "Recovery cost — defender-crash cells, quick scale, seed 0\n\
-         (recovery delay = supervisor backoff + journal replay, virtual µs)\n",
-    );
-    let _ = writeln!(
-        rendered,
-        "{:<42} {:<9} {:>7} {:>8} {:>8} {:>12} {:>4}",
-        "attack", "intensity", "crashes", "restarts", "replayed", "delay_us", "det"
-    );
-    for c in &cells {
-        let _ = writeln!(
-            rendered,
-            "{:<42} {:<9} {:>7} {:>8} {:>8} {:>12} {:>4}",
-            c.attack,
-            c.intensity,
-            c.defender_crashes,
-            c.defender_restarts,
-            c.replayed_records,
-            c.recovery_delay_us,
-            if c.detected { "yes" } else { "no" },
-        );
-    }
-    write_artifact("recovery", &cells, &rendered);
-    assert!(
-        cells.iter().all(|c| c.violations.is_empty()),
-        "recovery invariants must hold:\n{rendered}"
-    );
-}
+use jgre_sim::FaultPlan;
 
 /// A defended system whose journal and watch tables carry real load:
 /// returns the system, the defender, its configs, and a handle on the
@@ -139,7 +89,6 @@ fn bench_recovery(c: &mut Criterion) {
 criterion_group!(benches, bench_recovery);
 
 fn main() {
-    generate_artifacts();
     benches();
     criterion::Criterion::default()
         .configure_from_args()

@@ -21,7 +21,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use criterion::{criterion_group, Criterion};
-use jgre_bench::{artifacts_enabled, write_artifact};
+use jgre_bench::write_artifact;
 use jgre_defense::stream::{run_serve, ServeConfig};
 use jgre_defense::{segment_tree_scores, IncrementalScorer, ScoreParams};
 use jgre_sim::source::{EventSource, SourceConfig, SourceEventKind};
@@ -259,9 +259,7 @@ fn bench_streaming(c: &mut Criterion) {
         artifact.window_events,
     );
     println!("{rendered}");
-    if artifacts_enabled() {
-        write_artifact("streaming_throughput", &artifact, &rendered);
-    }
+    write_artifact("streaming_throughput", &artifact, &rendered);
 }
 
 criterion_group!(benches, bench_streaming);

@@ -1,13 +1,11 @@
 //! Shared plumbing for the benchmark harness.
 //!
-//! Each bench target in `benches/` does two jobs:
-//!
-//! 1. **regenerate the paper artifact** at paper scale (full 51200-entry
-//!    tables, 4000/12000 thresholds) and write it to `artifacts/` at the
-//!    workspace root — both a rendered `.txt` and the raw `.json`;
-//! 2. **measure the underlying kernels** with Criterion at quick scale, so
-//!    `cargo bench` also tracks the performance of the simulator and of
-//!    the defense's algorithms.
+//! Each bench target in `benches/` times kernels of the simulator, the
+//! analysis or the defense with Criterion. The deterministic paper
+//! artifacts are not written here: `jgre all --paper --out artifacts`
+//! regenerates them. The five wall-clock benches (`fleet`, `fuzz`,
+//! `streaming`, `incremental`, `pathsense`) also write their measured
+//! throughput or overhead to `artifacts/` through [`write_artifact`].
 
 use std::fs;
 use std::path::PathBuf;
@@ -37,12 +35,6 @@ pub fn write_artifact<T: Serialize>(name: &str, data: &T, rendered: &str) {
     let json = serde_json::to_string_pretty(data).expect("experiment structs serialise");
     fs::write(dir.join(format!("{name}.json")), json).expect("write json artifact");
     eprintln!("[artifact] {name}: {}", dir.join(name).display());
-}
-
-/// Whether paper-scale artifact generation is enabled. Set
-/// `JGRE_SKIP_ARTIFACTS=1` to time kernels only.
-pub fn artifacts_enabled() -> bool {
-    std::env::var_os("JGRE_SKIP_ARTIFACTS").is_none()
 }
 
 #[cfg(test)]

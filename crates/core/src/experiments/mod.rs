@@ -1,9 +1,10 @@
 //! One runner per table and figure of the paper's evaluation.
 //!
 //! Each runner returns a serialisable result struct with a `render()`
-//! method producing the human-readable table/series; the bench harness
-//! also dumps them as JSON next to `EXPERIMENTS.md`.
+//! method producing the human-readable table/series; `jgre all --paper
+//! --out artifacts` writes both forms of every one to `artifacts/`.
 
+mod ablations;
 mod analysis;
 mod baseline;
 mod chaos;
@@ -12,6 +13,11 @@ mod exhaustion;
 mod overhead;
 mod protections;
 
+pub use ablations::{
+    delta_sensitivity, multipath_comparison, placement_comparison, scoring_fixture,
+    threshold_sensitivity, DeltaRow, DeltaSensitivity, IpcByUid, MultiPathComparison, MultiPathRow,
+    PlacementComparison, PlacementRow, ThresholdRow, ThresholdSensitivity,
+};
 pub use analysis::{
     analysis_headline, table1, table4, table5, AnalysisHeadline, Table1, Table1Row, Table4,
     Table4Row, Table5, Table5Row,

@@ -24,6 +24,7 @@
 //! | [`experiments::fig10`] | Figure 10 (defense IPC overhead) |
 //! | [`experiments::response_delay`] | §V-D.1 (detection delays) |
 //! | [`experiments::defense_effectiveness`] | §V-C (all 57 defended) |
+//! | [`experiments::threshold_sensitivity`] and the other ablations | DESIGN.md ablations |
 //!
 //! Beyond the per-device runners, the [`fleet`] module scales the
 //! simulator to campaigns: [`run_campaign`] shards N independent

@@ -4,7 +4,7 @@
 //! $ jgre headline                 # §IV counts (quick scale)
 //! $ jgre --paper fig3             # Figure 3 at the real 51200 capacity
 //! $ jgre table2 --json            # Table II as JSON
-//! $ jgre all --paper              # every artifact, like `cargo bench`
+//! $ jgre all --paper --out artifacts  # rewrite every deterministic artifact
 //! ```
 
 use std::process::ExitCode;
@@ -32,7 +32,10 @@ COMMANDS:
   fig10        Figure 10 — defense IPC overhead vs payload
   response     §V-D.1 — detection delays for all 57 interfaces
   defend       §V-C  — drive all 57 attacks against the defender
-  all          run everything above in order
+  ablations    alarm thresholds, Δ, limit placement and multi-path
+               evasion studies (fixed small tables; --paper has no effect)
+  all          run everything above in order; with --out DIR, write
+               each result to DIR as the file artifacts/ commits it under
   lint         dataflow leak analysis as SARIF 2.1.0, each finding backed
                by a checkable IPC-entry-to-IRT::Add witness path
                (--json prints the raw lint report instead)
@@ -103,9 +106,11 @@ OPTIONS:
                jgr-corrupt, clock-jitter, kill-fail, kill-respawn,
                defender-crash
                (default: all; fault-free baselines always run)
-  --out PATH   (chaos, fleet, fuzz, serve) write the result as JSON to
+  --out PATH   (every command but lint) write the result as JSON to
                PATH and the rendered table next to it as PATH with a
-               .txt extension
+               .txt extension; ablations and all print several results
+               and take a directory, writing NAME.json and NAME.txt
+               into it for each
   --list-cells (chaos) print the cell ids the matrix would run, one per
                line, without running anything (honors --fault)
 ";
@@ -141,101 +146,122 @@ fn say(text: impl std::fmt::Display) {
     }
 }
 
-fn emit<T: serde::Serialize>(options: &Options, data: &T, rendered: String) {
-    if options.json {
-        say(serde_json::to_string_pretty(data).expect("experiment structs serialise"));
-    } else {
-        say(rendered);
+/// Every deterministic artifact, in the order `all` prints them: the
+/// command that computes it and the file stem `all --out DIR` writes it
+/// under. `ablations` prints four studies, so it has four rows.
+const ARTIFACTS: [(&str, &str); 19] = [
+    ("headline", "t_analysis_headline"),
+    ("table1", "table1_unprotected"),
+    ("table2", "table2_helper_bypass"),
+    ("table3", "table3_per_process_limits"),
+    ("table4", "table4_prebuilt_apps"),
+    ("table5", "table5_third_party"),
+    ("fig3", "fig3_exhaustion"),
+    ("fig4", "fig4_benign_baseline"),
+    ("fig5", "fig5_exec_growth"),
+    ("fig6", "fig6_exec_cdf"),
+    ("fig8", "fig8_detection"),
+    ("fig9", "fig9_collusion"),
+    ("fig10", "fig10_overhead"),
+    ("response", "response_delay"),
+    ("defend", "defense_effectiveness"),
+    ("ablations", "ablation_thresholds"),
+    ("ablations", "ablation_delta"),
+    ("ablations", "ablation_placement"),
+    ("ablations", "ablation_multipath"),
+];
+
+fn pretty<T: serde::Serialize>(data: &T) -> String {
+    serde_json::to_string_pretty(data).expect("experiment structs serialise")
+}
+
+/// Computes the artifact listed in [`ARTIFACTS`] as `name`: its JSON
+/// and its rendered text.
+fn artifact(name: &str, scale: ExperimentScale) -> (String, String) {
+    macro_rules! result {
+        ($r:expr) => {{
+            let r = $r;
+            (pretty(&r), r.render())
+        }};
+    }
+    let paper = scale.jgr_capacity == jgre_core::art::MAX_GLOBAL_REFS;
+    match name {
+        "t_analysis_headline" => result!(experiments::analysis_headline(scale)),
+        "table1_unprotected" => result!(experiments::table1(scale)),
+        "table2_helper_bypass" => result!(experiments::table2(scale)),
+        "table3_per_process_limits" => result!(experiments::table3(scale)),
+        "table4_prebuilt_apps" => result!(experiments::table4(scale)),
+        "table5_third_party" => result!(experiments::table5(scale)),
+        "fig3_exhaustion" => result!(experiments::fig3(scale)),
+        // The paper's protocol: 300 apps in 3 rounds of 100, two minutes each.
+        "fig4_benign_baseline" => {
+            let (apps, secs) = if paper { (300, 120) } else { (60, 20) };
+            result!(experiments::fig4(scale, apps, secs))
+        }
+        "fig5_exec_growth" => result!(experiments::fig5(scale)),
+        "fig6_exec_cdf" => result!(experiments::fig6(scale, if paper { 1_000 } else { 200 })),
+        "fig8_detection" => result!(experiments::fig8(scale, 10, usize::MAX)),
+        "fig9_collusion" => result!(experiments::fig9(scale)),
+        "fig10_overhead" => result!(experiments::fig10(scale, 500)),
+        "response_delay" => result!(experiments::response_delay(scale)),
+        "defense_effectiveness" => result!(experiments::defense_effectiveness(scale)),
+        "ablation_thresholds" => result!(experiments::threshold_sensitivity()),
+        "ablation_delta" => result!(experiments::delta_sensitivity()),
+        "ablation_placement" => result!(experiments::placement_comparison()),
+        "ablation_multipath" => result!(experiments::multipath_comparison()),
+        other => unreachable!("{other} is not in ARTIFACTS"),
     }
 }
 
-/// With `--out PATH`, writes `json` to PATH and `rendered` beside it as
-/// PATH with a `.txt` extension — the same bytes as the bench harness's
-/// `write_artifact`, so the CLI and the benches regenerate identical
-/// golden files. Every caller's JSON excludes threads and wall-clock, so
-/// two runs with the same seed write identical bytes.
-fn write_out(options: &Options, json: &str, rendered: &str) -> Result<(), String> {
-    let Some(path) = &options.out else {
-        return Ok(());
-    };
-    std::fs::write(path, json).map_err(|e| format!("writing {}: {e}", path.display()))?;
-    let txt = path.with_extension("txt");
-    std::fs::write(&txt, rendered).map_err(|e| format!("writing {}: {e}", txt.display()))
+/// Prints one result — its JSON with `--json`, else its rendered text —
+/// after writing both when `out` names a file: the JSON to `out` and the
+/// text beside it with a `.txt` extension. Every caller's JSON excludes
+/// threads and wall-clock, so two runs with the same seed write
+/// identical bytes.
+fn emit(
+    options: &Options,
+    out: Option<&std::path::Path>,
+    json: String,
+    rendered: String,
+) -> Result<(), String> {
+    if let Some(path) = out {
+        std::fs::write(path, &json).map_err(|e| format!("writing {}: {e}", path.display()))?;
+        let txt = path.with_extension("txt");
+        std::fs::write(&txt, &rendered).map_err(|e| format!("writing {}: {e}", txt.display()))?;
+    }
+    say(if options.json { json } else { rendered });
+    Ok(())
+}
+
+/// Runs the [`ARTIFACTS`] rows in order. With more than one row, `--out`
+/// names a directory that receives `<name>.json` and `<name>.txt` per
+/// row; with one, it names the JSON file itself.
+fn run_artifacts(rows: &[(&str, &str)], options: &Options) -> Result<(), String> {
+    let into_dir = rows.len() > 1;
+    if let Some(dir) = options.out.as_ref().filter(|_| into_dir) {
+        std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
+    }
+    for &(_, name) in rows {
+        if into_dir {
+            eprintln!("== {name} ==");
+        }
+        let out = options.out.as_ref().map(|out| {
+            if into_dir {
+                out.join(format!("{name}.json"))
+            } else {
+                out.clone()
+            }
+        });
+        let (json, rendered) = artifact(name, options.scale);
+        emit(options, out.as_deref(), json, rendered)?;
+    }
+    Ok(())
 }
 
 fn run(command: &str, options: &Options) -> Result<(), String> {
     let scale = options.scale;
+    let out = options.out.as_deref();
     match command {
-        "headline" => {
-            let r = experiments::analysis_headline(scale);
-            emit(options, &r, r.render());
-        }
-        "table1" => {
-            let r = experiments::table1(scale);
-            emit(options, &r, r.render());
-        }
-        "table2" => {
-            let r = experiments::table2(scale);
-            emit(options, &r, r.render());
-        }
-        "table3" => {
-            let r = experiments::table3(scale);
-            emit(options, &r, r.render());
-        }
-        "table4" => {
-            let r = experiments::table4(scale);
-            emit(options, &r, r.render());
-        }
-        "table5" => {
-            let r = experiments::table5(scale);
-            emit(options, &r, r.render());
-        }
-        "fig3" => {
-            let r = experiments::fig3(scale);
-            emit(options, &r, r.render());
-        }
-        "fig4" => {
-            let (apps, secs) = if scale.jgr_capacity == jgre_core::art::MAX_GLOBAL_REFS {
-                (300, 120)
-            } else {
-                (60, 20)
-            };
-            let r = experiments::fig4(scale, apps, secs);
-            emit(options, &r, r.render());
-        }
-        "fig5" => {
-            let r = experiments::fig5(scale);
-            emit(options, &r, r.render());
-        }
-        "fig6" => {
-            let calls = if scale.jgr_capacity == jgre_core::art::MAX_GLOBAL_REFS {
-                1_000
-            } else {
-                200
-            };
-            let r = experiments::fig6(scale, calls);
-            emit(options, &r, r.render());
-        }
-        "fig8" => {
-            let r = experiments::fig8(scale, 10, usize::MAX);
-            emit(options, &r, r.render());
-        }
-        "fig9" => {
-            let r = experiments::fig9(scale);
-            emit(options, &r, r.render());
-        }
-        "fig10" => {
-            let r = experiments::fig10(scale, 500);
-            emit(options, &r, r.render());
-        }
-        "response" => {
-            let r = experiments::response_delay(scale);
-            emit(options, &r, r.render());
-        }
-        "defend" => {
-            let r = experiments::defense_effectiveness(scale);
-            emit(options, &r, r.render());
-        }
         "lint" => {
             let spec = jgre_corpus::AospSpec::android_6_0_1();
             let model = jgre_corpus::CodeModel::synthesize(&spec);
@@ -268,10 +294,7 @@ fn run(command: &str, options: &Options) -> Result<(), String> {
                 return Ok(());
             }
             let matrix = experiments::chaos_matrix(scale, options.fault);
-            let json = serde_json::to_string_pretty(&matrix).expect("chaos matrix serialises");
-            let rendered = matrix.render();
-            write_out(options, &json, &rendered)?;
-            emit(options, &matrix, rendered);
+            emit(options, out, pretty(&matrix), matrix.render())?;
             if matrix.violations > 0 {
                 return Err(format!(
                     "chaos matrix: {} recovery-invariant violation(s)",
@@ -306,10 +329,7 @@ fn run(command: &str, options: &Options) -> Result<(), String> {
             let started = std::time::Instant::now();
             let summary = jgre_core::run_campaign(&config);
             let elapsed = started.elapsed();
-            let json = serde_json::to_string_pretty(&summary).expect("fleet summary serialises");
-            let rendered = summary.render();
-            write_out(options, &json, &rendered)?;
-            emit(options, &summary, rendered);
+            emit(options, out, pretty(&summary), summary.render())?;
             // Throughput is wall-clock and thread-dependent, so it goes to
             // stderr only; stdout and --out stay byte-reproducible.
             let secs = elapsed.as_secs_f64();
@@ -345,10 +365,7 @@ fn run(command: &str, options: &Options) -> Result<(), String> {
                 fuzz: report,
                 differential: diff,
             };
-            let json = artifact.to_json();
-            let rendered = artifact.render();
-            write_out(options, &json, &rendered)?;
-            emit(options, &artifact, rendered);
+            emit(options, out, artifact.to_json(), artifact.render())?;
             // Throughput is wall-clock and machine-dependent: stderr only.
             let secs = fuzz_elapsed.as_secs_f64();
             let total_execs = artifact.fuzz.execs + artifact.fuzz.minimize_execs;
@@ -408,10 +425,7 @@ fn run(command: &str, options: &Options) -> Result<(), String> {
             let report = jgre_core::defense::stream::run_serve(&config)
                 .map_err(|e| format!("serve: {e}"))?;
             let elapsed = started.elapsed();
-            let json = report.to_json();
-            let rendered = report.render();
-            write_out(options, &json, &rendered)?;
-            emit(options, &report, rendered);
+            emit(options, out, report.to_json(), report.render())?;
             // Throughput is wall-clock and machine-dependent: stderr only.
             let secs = elapsed.as_secs_f64();
             let rate = if secs > 0.0 {
@@ -424,16 +438,17 @@ fn run(command: &str, options: &Options) -> Result<(), String> {
                 report.ingest.offered, secs, rate, config.threads
             );
         }
-        "all" => {
-            for cmd in [
-                "headline", "table1", "table2", "table3", "table4", "table5", "fig3", "fig4",
-                "fig5", "fig6", "fig8", "fig9", "fig10", "response", "defend",
-            ] {
-                eprintln!("== {cmd} ==");
-                run(cmd, options)?;
+        "all" => run_artifacts(&ARTIFACTS, options)?,
+        command => {
+            let rows: Vec<_> = ARTIFACTS
+                .into_iter()
+                .filter(|&(c, _)| c == command)
+                .collect();
+            if rows.is_empty() {
+                return Err(format!("unknown command: {command}\n\n{USAGE}"));
             }
+            run_artifacts(&rows, options)?;
         }
-        other => return Err(format!("unknown command: {other}\n\n{USAGE}")),
     }
     Ok(())
 }

@@ -23,6 +23,35 @@ fn headline_renders_the_counts() {
 }
 
 #[test]
+fn headline_out_writes_what_stdout_prints() {
+    let dir = std::env::temp_dir().join(format!("jgre-headline-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("headline.json");
+    let run = |json: bool| {
+        let mut cmd = jgre();
+        cmd.arg("headline").arg("--out").arg(&path);
+        if json {
+            cmd.arg("--json");
+        }
+        let out = cmd.output().expect("binary runs");
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let rendered = run(false);
+    let json = run(true);
+    let written_json = std::fs::read(&path).expect("--out writes the JSON");
+    let written_txt = std::fs::read(dir.join("headline.txt")).expect("--out writes the text");
+    std::fs::remove_dir_all(&dir).ok();
+    // Artifacts carry no trailing newline; stdout adds one.
+    assert_eq!(json.strip_suffix(b"\n"), Some(&written_json[..]));
+    assert_eq!(rendered.strip_suffix(b"\n"), Some(&written_txt[..]));
+}
+
+#[test]
 fn json_output_is_machine_readable() {
     let out = jgre()
         .args(["table4", "--json"])
@@ -481,7 +510,7 @@ fn committed_defender_goldens_match_a_fresh_run() {
             String::from_utf8_lossy(&out.stdout).trim_end(),
             golden.trim_end(),
             "artifacts/{name}.json is stale; regenerate with \
-             `cargo bench -p jgre-bench --bench {name}`"
+             `jgre all --paper --out artifacts`"
         );
     }
 }
